@@ -145,6 +145,7 @@ func main() {
 		// transforms before the first shipped record arrives.
 		opts.Registry = sim.NewDomainRegistry()
 	}
+	opts.RecordHistory = true // the oracle replays the executed history
 
 	eng, err := core.New(opts)
 	if err != nil {

@@ -58,6 +58,7 @@ func main() {
 	opts := core.DefaultOptions()
 	opts.Obs = reg
 	opts.Tracer = tracer
+	opts.RecordHistory = true // the promotion oracle replays the primary's history
 	if *vsi {
 		opts.RedoTest = recovery.TestVSI
 	}

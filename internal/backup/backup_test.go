@@ -71,7 +71,9 @@ func TestBackupRestoreQuiescent(t *testing.T) {
 // backup's object copies — some copied objects are older than others — and
 // verifies media recovery reconciles everything via log replay.
 func TestFuzzyBackupMediaRecovery(t *testing.T) {
-	eng, err := core.New(core.DefaultOptions())
+	opts := core.DefaultOptions()
+	opts.RecordHistory = true
+	eng, err := core.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

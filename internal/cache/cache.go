@@ -22,6 +22,7 @@ import (
 	"logicallog/internal/graph"
 	"logicallog/internal/obs"
 	"logicallog/internal/op"
+	"logicallog/internal/ordset"
 	"logicallog/internal/stable"
 	"logicallog/internal/wal"
 	"logicallog/internal/writegraph"
@@ -174,6 +175,8 @@ var tableSeed = maphash.MakeSeed()
 type tableShard struct {
 	mu sync.RWMutex
 	m  map[op.ObjectID]*entry
+	// ids holds m's keys in order, so RangeLive visits only in-range ids.
+	ids ordset.Set[op.ObjectID]
 }
 
 // Manager is the cache manager.
@@ -242,13 +245,17 @@ func (m *Manager) insert(x op.ObjectID, e *entry) *entry {
 		return cur
 	}
 	sh.m[x] = e
+	sh.ids.Insert(x)
 	return e
 }
 
 func (m *Manager) remove(x op.ObjectID) {
 	sh := m.shard(x)
 	sh.mu.Lock()
-	delete(sh.m, x)
+	if _, ok := sh.m[x]; ok {
+		delete(sh.m, x)
+		sh.ids.Delete(x)
+	}
 	sh.mu.Unlock()
 }
 
@@ -270,21 +277,22 @@ func (m *Manager) forEach(fn func(x op.ObjectID, e *entry)) {
 // replay of chains OUTSIDE the range is still running concurrently: the id
 // filter is applied before any entry field is read, and an in-range entry's
 // contents are only mutated by the chains that touch it — which the caller
-// must have drained (Engine gates enumeration on RequireRange).  Visit order
-// is shard order, not key order; callers wanting sorted output must sort.
+// must have drained (Engine gates enumeration on RequireRange).  Each shard
+// is visited in key order from a logarithmic lookup, so the cost is the
+// in-range ids, not the cache size; overall visit order is shard order, so
+// callers wanting sorted output must sort.
 func (m *Manager) RangeLive(lo, hi op.ObjectID, fn func(x op.ObjectID, exists bool) bool) {
-	for i := range m.shards {
+	more := true
+	for i := 0; i < len(m.shards) && more; i++ {
 		sh := &m.shards[i]
 		sh.mu.RLock()
-		for x, e := range sh.m {
-			if x < lo || (hi != "" && x >= hi) {
-				continue
+		sh.ids.AscendFrom(lo, func(x op.ObjectID) bool {
+			if hi != "" && x >= hi {
+				return false
 			}
-			if !fn(x, e.exists) {
-				sh.mu.RUnlock()
-				return
-			}
-		}
+			more = fn(x, sh.m[x].exists)
+			return more
+		})
 		sh.mu.RUnlock()
 	}
 }
@@ -500,14 +508,14 @@ func (m *Manager) applyLogged(o *op.Operation, writes map[op.ObjectID][]byte) er
 func (m *Manager) InstallMinimal() ([]op.ObjectID, error) {
 	maxAttempts := 2*m.wg.OpCount() + m.wg.Len() + 16
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		mins := m.wg.Minimal()
-		if len(mins) == 0 {
+		min, ok := m.wg.MinMinimal()
+		if !ok {
 			if m.wg.Len() != 0 {
 				return nil, fmt.Errorf("cache: write graph has %d nodes but no minimal node", m.wg.Len())
 			}
 			return nil, ErrNothingToInstall
 		}
-		vars, err := m.InstallNode(mins[0])
+		vars, err := m.InstallNode(min)
 		if errors.Is(err, errDeferred) {
 			continue
 		}
@@ -574,14 +582,7 @@ func (m *Manager) InstallNode(id graph.NodeID) ([]op.ObjectID, error) {
 	}
 	// Breakup may have added inverse write-read predecessors; those nodes
 	// must install first.
-	minimal := false
-	for _, min := range m.wg.Minimal() {
-		if min == id {
-			minimal = true
-			break
-		}
-	}
-	if !minimal {
+	if !m.wg.IsMinimal(id) {
 		return nil, errDeferred
 	}
 
@@ -859,6 +860,7 @@ func (m *Manager) Crash() {
 		sh := &m.shards[i]
 		sh.mu.Lock()
 		sh.m = make(map[op.ObjectID]*entry)
+		sh.ids = ordset.Set[op.ObjectID]{}
 		sh.mu.Unlock()
 	}
 	m.wg = writegraph.New(m.cfg.Policy)

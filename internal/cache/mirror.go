@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"logicallog/internal/graph"
@@ -182,29 +183,33 @@ func (m *Manager) writeBatchRetry(entries []stable.Entry) error {
 
 // removeInstalledNodes removes the write-graph nodes holding the given
 // operations, most-minimal first.  Operations absent from the graph
-// (bootstrap-skipped) are ignored.
+// (bootstrap-skipped) are ignored.  Each pass removes every listed node that
+// is minimal, ascending, so the cost is bounded by the listed nodes, not the
+// graph.
 func (m *Manager) removeInstalledNodes(lsns []op.SI) error {
-	ids := make(map[graph.NodeID]bool)
+	var ids []graph.NodeID
 	for _, lsn := range lsns {
 		if id, ok := m.wg.NodeOfOp(lsn); ok {
-			ids[id] = true
+			ids = append(ids, id)
 		}
 	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
 	for len(ids) > 0 {
-		removed := false
-		for _, min := range m.wg.Minimal() {
-			if !ids[min] {
+		rest := ids[:0]
+		for _, id := range ids {
+			if !m.wg.IsMinimal(id) {
+				rest = append(rest, id)
 				continue
 			}
-			if _, err := m.wg.Remove(min); err != nil {
+			if _, err := m.wg.Remove(id); err != nil {
 				return fmt.Errorf("cache: mirror: %w", err)
 			}
-			delete(ids, min)
-			removed = true
 		}
-		if !removed {
+		if len(rest) == len(ids) {
 			return fmt.Errorf("cache: mirror: %d installed nodes are not minimal", len(ids))
 		}
+		ids = rest
 	}
 	if m.obs.wgNodes != nil {
 		m.obs.wgNodes.Set(int64(m.wg.Len()))

@@ -78,6 +78,10 @@ type Options struct {
 	// optionally spilled to a crash-tolerant file) for post-hoc forensics
 	// with llinspect -explain / -forensics.  Nil disables it at ~0 cost.
 	Flight *flight.Recorder
+	// RecordHistory makes the engine keep every executed operation for
+	// History, which test oracles replay.  Off by default: the history
+	// grows by one entry per operation and carries no recovery duty.
+	RecordHistory bool
 }
 
 // defaultTransientRetries is the retry budget when Options leaves
@@ -114,8 +118,8 @@ type Engine struct {
 	// wait for the full drain.  Cleared once the drain completes cleanly.
 	gate *recovery.OnDemand
 
-	// history keeps every executed operation for test oracles; it is
-	// volatile and carries no recovery responsibility.
+	// history keeps every executed operation when Options.RecordHistory
+	// is set; it is volatile and carries no recovery responsibility.
 	history []*op.Operation
 }
 
@@ -212,8 +216,13 @@ func (e *Engine) Store() *stable.Store { return e.store }
 func (e *Engine) Cache() *cache.Manager { return e.mgr }
 
 // History returns the operations executed since engine creation (volatile;
-// survives nothing — test oracle only).
+// survives nothing — test oracle only).  It panics unless the engine was
+// built with Options.RecordHistory: an oracle replaying a history that was
+// never recorded would check nothing.
 func (e *Engine) History() []*op.Operation {
+	if !e.opts.RecordHistory {
+		panic("core: History needs Options.RecordHistory")
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.history
@@ -294,7 +303,9 @@ func (e *Engine) Execute(o *op.Operation) error {
 	if err := e.mgr.Execute(o); err != nil {
 		return err
 	}
-	e.history = append(e.history, o)
+	if e.opts.RecordHistory {
+		e.history = append(e.history, o)
+	}
 	return nil
 }
 
@@ -351,10 +362,7 @@ func (e *Engine) Objects(lo, hi op.ObjectID) ([]op.ObjectID, error) {
 		return nil, err
 	}
 	live := make(map[op.ObjectID]bool)
-	for _, x := range e.store.IDs() {
-		if x < lo || (hi != "" && x >= hi) {
-			continue
-		}
+	for _, x := range e.store.IDsIn(lo, hi) {
 		live[x] = true
 	}
 	e.mgr.RangeLive(lo, hi, func(x op.ObjectID, exists bool) bool {

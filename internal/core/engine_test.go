@@ -12,6 +12,7 @@ import (
 
 func newEng(t *testing.T, opts Options) *Engine {
 	t.Helper()
+	opts.RecordHistory = true
 	eng, err := New(opts)
 	if err != nil {
 		t.Fatal(err)

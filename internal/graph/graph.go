@@ -23,13 +23,17 @@ type NodeID int64
 type Digraph struct {
 	succ map[NodeID]map[NodeID]struct{}
 	pred map[NodeID]map[NodeID]struct{}
+	// roots holds exactly the nodes with no predecessors, so the write
+	// graph's installer finds its next minimal node without a full scan.
+	roots rootSet
 }
 
 // New returns an empty digraph.
 func New() *Digraph {
 	return &Digraph{
-		succ: make(map[NodeID]map[NodeID]struct{}),
-		pred: make(map[NodeID]map[NodeID]struct{}),
+		succ:  make(map[NodeID]map[NodeID]struct{}),
+		pred:  make(map[NodeID]map[NodeID]struct{}),
+		roots: newRootSet(),
 	}
 }
 
@@ -38,6 +42,7 @@ func (g *Digraph) AddNode(n NodeID) {
 	if _, ok := g.succ[n]; !ok {
 		g.succ[n] = make(map[NodeID]struct{})
 		g.pred[n] = make(map[NodeID]struct{})
+		g.roots.add(n)
 	}
 }
 
@@ -54,6 +59,7 @@ func (g *Digraph) AddEdge(u, v NodeID) {
 	g.AddNode(v)
 	g.succ[u][v] = struct{}{}
 	g.pred[v][u] = struct{}{}
+	g.roots.drop(v)
 }
 
 // HasEdge reports whether the edge u -> v exists.
@@ -67,19 +73,25 @@ func (g *Digraph) HasEdge(u, v NodeID) bool {
 
 // RemoveEdge deletes u -> v if present.
 func (g *Digraph) RemoveEdge(u, v NodeID) {
-	if s, ok := g.succ[u]; ok {
-		delete(s, v)
+	if !g.HasEdge(u, v) {
+		return
 	}
-	if p, ok := g.pred[v]; ok {
-		delete(p, u)
+	delete(g.succ[u], v)
+	delete(g.pred[v], u)
+	if len(g.pred[v]) == 0 {
+		g.roots.add(v)
 	}
 }
 
 // RemoveNode deletes n and all incident edges.
 func (g *Digraph) RemoveNode(n NodeID) {
-	//lint:ignore replaydeterminism independent per-edge deletes; final maps identical in any order
+	g.roots.drop(n)
+	//lint:ignore replaydeterminism independent per-edge deletes and root-set inserts; final state identical in any order
 	for v := range g.succ[n] {
 		delete(g.pred[v], n)
+		if v != n && len(g.pred[v]) == 0 {
+			g.roots.add(v)
+		}
 	}
 	//lint:ignore replaydeterminism independent per-edge deletes; final maps identical in any order
 	for u := range g.pred[n] {
@@ -127,18 +139,25 @@ func (g *Digraph) OutDegree(n NodeID) int { return len(g.succ[n]) }
 
 // Minimal returns the nodes with no predecessors, ascending.  These are the
 // write-graph nodes whose flush installs their operations (Figure 4's
-// "choose a minimal node v in W").
+// "choose a minimal node v in W").  It costs O(r log r) for r minimal
+// nodes; MinMinimal answers the common "which one next" question in O(1).
 func (g *Digraph) Minimal() []NodeID {
-	var out []NodeID
-	//lint:ignore replaydeterminism membership filter is order-independent; sorted below
-	for n, p := range g.pred {
-		if len(p) == 0 {
-			out = append(out, n)
-		}
-	}
+	out := append([]NodeID(nil), g.roots.ids...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
+
+// MinMinimal returns the smallest-id node with no predecessors — Minimal()[0]
+// — and false when there is none.
+func (g *Digraph) MinMinimal() (NodeID, bool) {
+	if len(g.roots.ids) == 0 {
+		return 0, false
+	}
+	return g.roots.ids[0], true
+}
+
+// IsMinimal reports whether n exists and has no predecessors.
+func (g *Digraph) IsMinimal(n NodeID) bool { return g.roots.has(n) }
 
 // Clone returns a deep copy of g.
 func (g *Digraph) Clone() *Digraph {
@@ -377,8 +396,9 @@ func TransitiveClosurePartition(nodes []NodeID, related [][2]NodeID) map[NodeID]
 	return part
 }
 
-// Validate checks structural invariants: pred/succ symmetry and absence of
-// dangling endpoints.  Used by tests and by the write-graph packages after
+// Validate checks structural invariants: pred/succ symmetry, absence of
+// dangling endpoints, and a root set holding exactly the predecessor-free
+// nodes.  Used by tests and by the write-graph packages after
 // mutation-heavy phases.
 func (g *Digraph) Validate() error {
 	//lint:ignore replaydeterminism invariant scan; any violation fails, which one is reported is immaterial
@@ -403,6 +423,23 @@ func (g *Digraph) Validate() error {
 			if _, ok := g.succ[u][v]; !ok {
 				return fmt.Errorf("graph: edge %d->%d missing from succ index", u, v)
 			}
+		}
+		if (len(p) == 0) != g.roots.has(v) {
+			return fmt.Errorf("graph: node %d has in-degree %d but root-set membership %v", v, len(p), g.roots.has(v))
+		}
+	}
+	if len(g.roots.ids) != len(g.roots.pos) {
+		return fmt.Errorf("graph: root heap holds %d ids but indexes %d", len(g.roots.ids), len(g.roots.pos))
+	}
+	for i, n := range g.roots.ids {
+		if g.roots.pos[n] != i {
+			return fmt.Errorf("graph: root %d at heap slot %d indexed at %d", n, i, g.roots.pos[n])
+		}
+		if _, ok := g.pred[n]; !ok {
+			return fmt.Errorf("graph: root %d is not a node", n)
+		}
+		if i > 0 && n < g.roots.ids[(i-1)/2] {
+			return fmt.Errorf("graph: root heap order broken at slot %d", i)
 		}
 	}
 	return nil

@@ -324,3 +324,69 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Error("Validate missed succ corruption")
 	}
 }
+
+// scanMinimal is the full scan the incremental root set replaced.
+func scanMinimal(g *Digraph) []NodeID {
+	var out []NodeID
+	for _, n := range g.Nodes() {
+		if g.InDegree(n) == 0 {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// TestRootSetTracksInDegree applies random edge additions and removals,
+// node additions and removals (self-loops included) and checks after each
+// step that Minimal, MinMinimal, and IsMinimal agree with a full scan.
+func TestRootSetTracksInDegree(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	g := New()
+	for step := 0; step < 4000; step++ {
+		u, v := NodeID(rng.Intn(24)), NodeID(rng.Intn(24))
+		switch rng.Intn(6) {
+		case 0:
+			g.AddNode(u)
+		case 1, 2:
+			g.AddEdge(u, v)
+		case 3, 4:
+			g.RemoveEdge(u, v)
+		case 5:
+			g.RemoveNode(u)
+		}
+		want := scanMinimal(g)
+		if got := g.Minimal(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: Minimal = %v, scan %v", step, got, want)
+		}
+		min, ok := g.MinMinimal()
+		if ok != (len(want) > 0) || (ok && min != want[0]) {
+			t.Fatalf("step %d: MinMinimal = %d,%v, scan %v", step, min, ok, want)
+		}
+		for n := NodeID(0); n < 24; n++ {
+			if g.IsMinimal(n) != (g.HasNode(n) && g.InDegree(n) == 0) {
+				t.Fatalf("step %d: IsMinimal(%d) = %v", step, n, g.IsMinimal(n))
+			}
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	if c := g.Clone(); !reflect.DeepEqual(c.Minimal(), g.Minimal()) || c.Validate() != nil {
+		t.Errorf("clone root set %v, original %v", c.Minimal(), g.Minimal())
+	}
+}
+
+func TestValidateCatchesRootSetCorruption(t *testing.T) {
+	g := New()
+	g.AddEdge(1, 2)
+	g.roots.add(2) // 2 has a predecessor
+	if err := g.Validate(); err == nil {
+		t.Error("Validate missed a root with a predecessor")
+	}
+	h := New()
+	h.AddEdge(1, 2)
+	h.roots.drop(1) // 1 has none
+	if err := h.Validate(); err == nil {
+		t.Error("Validate missed a predecessor-free node outside the root set")
+	}
+}

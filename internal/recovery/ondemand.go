@@ -85,9 +85,14 @@ type OnDemand struct {
 	stop     atomic.Bool // tells redoChain to bail between operations
 	doneFlag atomic.Bool // fast path: drain complete and clean
 
-	traceMu    sync.Mutex
-	bg         sync.WaitGroup
-	demandLane *obs.Lane
+	traceMu sync.Mutex
+	bg      sync.WaitGroup
+	// idleLanes are tracer lanes for replays on calling goroutines (demand
+	// callers and Wait), which may run concurrently.  A lane's span state
+	// belongs to one goroutine at a time, so each such replay borrows a
+	// lane and returns it; callerLanes counts the lanes made.  Guarded by mu.
+	idleLanes   []*obs.Lane
+	callerLanes int
 
 	mDemandChains *obs.Counter
 	mBgChains     *obs.Counter
@@ -161,9 +166,6 @@ func StartOnDemand(log *wal.Log, store *stable.Store, opts Options) (*OnDemand, 
 		mWaitNs:       opts.Obs.Histogram("recovery.ondemand.demand_wait_ns"),
 		gPending:      opts.Obs.Gauge("recovery.ondemand.chains_pending"),
 		gDone:         opts.Obs.Gauge("recovery.ondemand.chains_done"),
-	}
-	if opts.Tracer != nil {
-		od.demandLane = opts.Tracer.Lane("ondemand-demand")
 	}
 	for ci, chain := range chains {
 		od.chainDone[ci] = make(chan struct{})
@@ -351,13 +353,30 @@ func (od *OnDemand) requireChain(ci int) error {
 		od.mWaitNs.Since(start)
 	default:
 		od.state[ci] = ChainInFlight
+		lane := od.borrowLaneLocked()
 		od.mu.Unlock()
-		od.runChain(ci, od.demandLane, true)
+		od.runChain(ci, lane, true)
+		od.mu.Lock()
+		od.idleLanes = append(od.idleLanes, lane)
+		od.mu.Unlock()
 	}
 	od.mu.Lock()
 	err := od.failure
 	od.mu.Unlock()
 	return err
+}
+
+// borrowLaneLocked lends the calling goroutine a tracer lane no other
+// goroutine is using (nil without a tracer); the caller appends it back to
+// idleLanes when its replay ends.  Caller holds mu.
+func (od *OnDemand) borrowLaneLocked() *obs.Lane {
+	if n := len(od.idleLanes); n > 0 {
+		lane := od.idleLanes[n-1]
+		od.idleLanes = od.idleLanes[:n-1]
+		return lane
+	}
+	od.callerLanes++
+	return od.opts.Tracer.Lane(fmt.Sprintf("ondemand-caller-%02d", od.callerLanes))
 }
 
 // background is one low-priority drain worker: it claims pending chains in
@@ -443,15 +462,22 @@ func (od *OnDemand) signalDrained() {
 // calling goroutine alongside the background workers — and returns the final
 // recovery Result.  Every counter matches what Recover would have reported:
 // per-operation decisions depend only on intra-chain state, so the totals
-// are independent of how demand, background, and Wait interleaved.
+// are independent of how demand, background, and Wait interleaved.  Wait
+// may run beside demand callers; it replays on a borrowed lane of its own.
 func (od *OnDemand) Wait() (*Result, error) {
+	od.mu.Lock()
+	lane := od.borrowLaneLocked()
+	od.mu.Unlock()
 	for {
 		ci := od.claimNext()
 		if ci < 0 {
 			break
 		}
-		od.runChain(ci, od.demandLane, false)
+		od.runChain(ci, lane, false)
 	}
+	od.mu.Lock()
+	od.idleLanes = append(od.idleLanes, lane)
+	od.mu.Unlock()
 	<-od.drained
 	od.bg.Wait()
 	od.mu.Lock()

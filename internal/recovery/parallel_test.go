@@ -152,17 +152,23 @@ func parallelConfigs() map[string]core.Options {
 
 var workerCounts = []int{1, 2, 8}
 
-// checkScenario recovers one crash image at every worker count and requires
-// identical counters, stable snapshots, and recovered object values.
-func checkScenario(t *testing.T, opts core.Options, sc sim.Scenario) {
-	t.Helper()
-	img, universe := capture(t, opts, sc)
-	cfg := cache.Config{
+// cacheConfig is the recovered cache manager's configuration for engine
+// options opts.
+func cacheConfig(opts core.Options) cache.Config {
+	return cache.Config{
 		Policy:      opts.Policy,
 		Strategy:    opts.Strategy,
 		LogInstalls: opts.LogInstalls,
 		Registry:    op.NewRegistry(),
 	}
+}
+
+// checkScenario recovers one crash image at every worker count and requires
+// identical counters, stable snapshots, and recovered object values.
+func checkScenario(t *testing.T, opts core.Options, sc sim.Scenario) {
+	t.Helper()
+	img, universe := capture(t, opts, sc)
+	cfg := cacheConfig(opts)
 	baseC, baseSnap, baseVals := recoverImage(t, img, opts.RedoTest, cfg, workerCounts[0], universe)
 	for _, w := range workerCounts[1:] {
 		c, snap, vals := recoverImage(t, img, opts.RedoTest, cfg, w, universe)

@@ -179,8 +179,14 @@ func TestAdmissionBackpressure(t *testing.T) {
 	}
 	close(bd.gate) // release all three
 	wg.Wait()
-	if got := reg.Gauge("server.inflight").Value(); got != 0 {
-		t.Errorf("inflight after completion = %d", got)
+	// A handler returns its admission token after its reply is written, so
+	// the gauge may lag the client's last reply briefly.
+	deadline = time.Now().Add(5 * time.Second)
+	for reg.Gauge("server.inflight").Value() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("inflight after completion = %d", reg.Gauge("server.inflight").Value())
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if reg.Histogram("server.admission_wait_ns").Snapshot().Count == 0 {
 		t.Error("admission wait histogram empty")

@@ -110,6 +110,13 @@ func drive(t *testing.T, eng *core.Engine, w *workload, steps int, after func(st
 	}
 }
 
+// recorded returns opts with history recording on, so finishAndPromote can
+// replay the primary's history.
+func recorded(opts core.Options) core.Options {
+	opts.RecordHistory = true
+	return opts
+}
+
 // finishAndPromote forces the primary's tail, syncs the stream, crashes the
 // primary, promotes the standby, and verifies the promoted engine against the
 // primary's history at the durable horizon — the replication correctness
@@ -143,7 +150,7 @@ func finishAndPromote(t *testing.T, eng *core.Engine, s *ship.Sender, sb *ship.S
 
 func newPair(t *testing.T, opts core.Options, plan *fault.Plan, batch int) (*core.Engine, *ship.Standby, *ship.Sender) {
 	t.Helper()
-	eng, err := core.New(opts)
+	eng, err := core.New(recorded(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +213,7 @@ func TestShipBootstrapFromBackup(t *testing.T) {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
 			t.Parallel()
-			eng, err := core.New(cfg.Opts)
+			eng, err := core.New(recorded(cfg.Opts))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -296,7 +303,7 @@ func TestShipLinkSeverAndCatchUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := fault.NewPlan(pts...)
-	eng, err := core.New(core.DefaultOptions())
+	eng, err := core.New(recorded(core.DefaultOptions()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +375,7 @@ func TestShipStandbyCrashRestart(t *testing.T) {
 // re-adopt the stream origin.
 func TestShipBootstrappedStandbyCrashBeforeForce(t *testing.T) {
 	opts := core.DefaultOptions()
-	eng, err := core.New(opts)
+	eng, err := core.New(recorded(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +490,7 @@ func TestShipMetrics(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Obs = reg
 	opts.Tracer = tr
-	eng, err := core.New(opts)
+	eng, err := core.New(recorded(opts))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,6 +181,7 @@ func runDomainModel(t *testing.T, cfg NamedConfig,
 	opts := cfg.Opts
 	opts.LogDevice = plan.WrapDevice(wal.NewMemDevice())
 	opts.Flight = fl
+	opts.RecordHistory = true
 	eng, err := core.New(opts)
 	if err != nil {
 		t.Fatal(err)

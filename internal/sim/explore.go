@@ -285,6 +285,7 @@ func runScheduleFlight(cfg NamedConfig, plan *fault.Plan, rogue RogueHook, scrip
 	opts.RedoWorkers = 1 + len(plan.Token())%4
 	rec := &runRecorder{}
 	opts.InstallTrace = rec.trace
+	opts.RecordHistory = true
 	eng, err := core.New(opts)
 	if err != nil {
 		return fmt.Errorf("%w: %v", errHarness, err)

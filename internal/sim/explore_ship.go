@@ -240,6 +240,7 @@ func runShipScheduleFlight(cfg NamedConfig, sched shipSchedule, script exploreSc
 	popts.LogDevice = wal.NewMemDevice()
 	popts.RedoWorkers = 1 + (sched.boundary+len(sched.token))%4
 	popts.Flight = fl
+	popts.RecordHistory = true
 	rec := &runRecorder{}
 	eng, err := core.New(popts)
 	if err != nil {

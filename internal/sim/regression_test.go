@@ -21,7 +21,7 @@ import (
 func TestRegressionNotxForceSeed19(t *testing.T) {
 	opts := core.Options{
 		Policy: writegraph.PolicyRW, Strategy: cache.StrategyIdentityWrite,
-		RedoTest: recovery.TestRSI, LogInstalls: true,
+		RedoTest: recovery.TestRSI, LogInstalls: true, RecordHistory: true,
 	}
 	sc := DefaultScenario(19)
 	eng, err := core.New(opts)

@@ -132,6 +132,7 @@ func CrashTest(opts core.Options, sc Scenario) error {
 		workerRNG := rand.New(rand.NewSource(sc.Seed ^ 0x5ed0c0de))
 		opts.RedoWorkers = []int{1, 2, 4, 8}[workerRNG.Intn(4)]
 	}
+	opts.RecordHistory = true
 	eng, err := core.New(opts)
 	if err != nil {
 		return err
@@ -170,7 +171,8 @@ func CrashTest(opts core.Options, sc Scenario) error {
 
 // VerifyAgainstOracle replays the engine's durable history (ops with
 // LSN <= horizon) on an oracle and compares every live object's value with
-// the engine's current (volatile) view.
+// the engine's current (volatile) view.  The engine must have been built
+// with core.Options.RecordHistory.
 func VerifyAgainstOracle(eng *core.Engine, horizon op.SI) error {
 	return VerifyHistory(eng.Registry(), eng.History(), eng, horizon)
 }

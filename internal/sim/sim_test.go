@@ -158,7 +158,9 @@ func TestAggressiveInstall(t *testing.T) {
 func TestVerifyAgainstOracleDetectsDivergence(t *testing.T) {
 	// Negative control: corrupt the engine state and check the verifier
 	// notices.
-	eng, err := core.New(core.DefaultOptions())
+	opts := core.DefaultOptions()
+	opts.RecordHistory = true
+	eng, err := core.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

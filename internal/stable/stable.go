@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"logicallog/internal/op"
+	"logicallog/internal/ordset"
 )
 
 // BatchMode selects the multi-object atomicity mechanism for a batch write.
@@ -134,6 +135,13 @@ type Store struct {
 	// flush transaction.
 	batchMu sync.Mutex
 
+	// ids holds every stored object id in order, so a range enumeration
+	// reads only the ids it returns.  Mutated only under batchMu (every
+	// object creation and deletion happens there); idsMu lets readers
+	// enumerate without taking batchMu.
+	idsMu sync.RWMutex
+	ids   *ordset.Set[op.ObjectID]
+
 	// Hot I/O counters, updated atomically (reads happen outside any
 	// global lock).
 	objectReads       atomic.Int64
@@ -167,6 +175,7 @@ type Store struct {
 func NewStore() *Store {
 	s := &Store{
 		batches: make(map[BatchMode]int64),
+		ids:     &ordset.Set[op.ObjectID]{},
 	}
 	for i := range s.shards {
 		s.shards[i].objects = make(map[op.ObjectID]Versioned)
@@ -228,16 +237,24 @@ func (s *Store) Len() int {
 // IDs returns all object ids in ascending order (no I/O accounting; this is
 // a catalog operation).
 func (s *Store) IDs() []op.ObjectID {
+	s.idsMu.RLock()
+	defer s.idsMu.RUnlock()
+	return s.ids.Keys()
+}
+
+// IDsIn returns the object ids in [lo, hi) in ascending order (hi == ""
+// means unbounded).  It costs a logarithmic lookup plus the ids returned.
+func (s *Store) IDsIn(lo, hi op.ObjectID) []op.ObjectID {
+	s.idsMu.RLock()
+	defer s.idsMu.RUnlock()
 	var out []op.ObjectID
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for x := range sh.objects {
-			out = append(out, x)
+	s.ids.AscendFrom(lo, func(x op.ObjectID) bool {
+		if hi != "" && x >= hi {
+			return false
 		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		out = append(out, x)
+		return true
+	})
 	return out
 }
 
@@ -362,15 +379,27 @@ func (s *Store) applyEntry(e Entry) {
 }
 
 // installEntry mutates state without I/O accounting (shadow swing phase).
+// Caller holds batchMu, so the id index update below cannot interleave with
+// another change to the same id.
 func (s *Store) installEntry(e Entry) {
 	sh := s.shard(e.ID)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	_, existed := sh.objects[e.ID]
 	if e.Delete {
 		delete(sh.objects, e.ID)
-		return
+	} else {
+		sh.objects[e.ID] = Versioned{Val: append([]byte(nil), e.Val...), VSI: e.VSI}
 	}
-	sh.objects[e.ID] = Versioned{Val: append([]byte(nil), e.Val...), VSI: e.VSI}
+	sh.mu.Unlock()
+	if existed == e.Delete {
+		s.idsMu.Lock()
+		if e.Delete {
+			s.ids.Delete(e.ID)
+		} else {
+			s.ids.Insert(e.ID)
+		}
+		s.idsMu.Unlock()
+	}
 }
 
 // HasPending reports whether a committed flush transaction awaits repair.
@@ -454,9 +483,18 @@ func (s *Store) Restore(snap map[op.ObjectID]Versioned) {
 		sh.objects = make(map[op.ObjectID]Versioned)
 		sh.mu.Unlock()
 	}
+	ids := make([]op.ObjectID, 0, len(snap))
 	for x, v := range snap {
-		s.installEntry(Entry{ID: x, Val: v.Val, VSI: v.VSI})
+		sh := s.shard(x)
+		sh.mu.Lock()
+		sh.objects[x] = Versioned{Val: append([]byte(nil), v.Val...), VSI: v.VSI}
+		sh.mu.Unlock()
+		ids = append(ids, x)
 	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	s.idsMu.Lock()
+	s.ids = ordset.FromSorted(ids)
+	s.idsMu.Unlock()
 	s.pending = nil
 }
 

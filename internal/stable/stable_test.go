@@ -3,9 +3,13 @@ package stable
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"logicallog/internal/fault"
+	"logicallog/internal/op"
 )
 
 // mustWrite is for test setup writes whose success is a precondition, not
@@ -352,5 +356,88 @@ func TestReadCounting(t *testing.T) {
 	s.Read("missing")
 	if got := s.Stats().ObjectReads; got != 2 {
 		t.Errorf("ObjectReads = %d, want 2 (misses don't count)", got)
+	}
+}
+
+// checkIDIndex holds IDs and IDsIn to the stored population.
+func checkIDIndex(t *testing.T, s *Store, rng *rand.Rand, where string) {
+	t.Helper()
+	var want []op.ObjectID
+	for x := range s.Snapshot() {
+		want = append(want, x)
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	if got := s.IDs(); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+		t.Fatalf("%s: IDs = %v, stored %v", where, got, want)
+	}
+	for i := 0; i < 4; i++ {
+		lo := op.ObjectID(fmt.Sprintf("k%02d", rng.Intn(44)))
+		hi := op.ObjectID(fmt.Sprintf("k%02d", rng.Intn(44)))
+		if i == 0 {
+			hi = ""
+		}
+		var in []op.ObjectID
+		for _, x := range want {
+			if x >= lo && (hi == "" || x < hi) {
+				in = append(in, x)
+			}
+		}
+		if got := s.IDsIn(lo, hi); !reflect.DeepEqual(got, in) {
+			t.Fatalf("%s: IDsIn(%q, %q) = %v, want %v", where, lo, hi, got, in)
+		}
+	}
+}
+
+// TestIDIndexTracksEveryWritePath applies random creating and deleting
+// batches in every mode — some cut by an injected crash, including torn
+// ModeUnsafe batches and committed flush transactions finished by
+// RecoverPending — plus Restores of earlier snapshots, and checks the ordered
+// id index against the stored population after each.
+func TestIDIndexTracksEveryWritePath(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	s := NewStore()
+	var snaps []map[op.ObjectID]Versioned
+	modes := []BatchMode{ModeSingle, ModeShadow, ModeFlushTxn, ModeUnsafe}
+	for step := 0; step < 600; step++ {
+		where := fmt.Sprintf("step %d", step)
+		if rng.Intn(25) == 0 && len(snaps) > 0 {
+			s.Restore(snaps[rng.Intn(len(snaps))])
+			checkIDIndex(t, s, rng, where+" restore")
+			continue
+		}
+		mode := modes[rng.Intn(len(modes))]
+		n := 1
+		if mode != ModeSingle {
+			n = 1 + rng.Intn(5)
+		}
+		var entries []Entry
+		seen := map[op.ObjectID]bool{}
+		for len(entries) < n {
+			x := op.ObjectID(fmt.Sprintf("k%02d", rng.Intn(40)))
+			if seen[x] {
+				continue
+			}
+			seen[x] = true
+			entries = append(entries, Entry{ID: x, Val: []byte{byte(step)}, Delete: rng.Intn(3) == 0})
+		}
+		var plan *fault.Plan
+		if rng.Intn(4) == 0 {
+			plan = crashAt(s, rng.Intn(2*n+2))
+		}
+		err := s.WriteBatch(entries, mode)
+		if plan != nil {
+			s.SetWriteProbe(nil)
+			if err != nil && !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("%s: %v", where, err)
+			}
+			checkIDIndex(t, s, rng, where+" after crash")
+			s.RecoverPending()
+		} else if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		checkIDIndex(t, s, rng, where)
+		if rng.Intn(10) == 0 {
+			snaps = append(snaps, s.Snapshot())
+		}
 	}
 }

@@ -18,6 +18,7 @@ package writegraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"logicallog/internal/graph"
@@ -94,8 +95,16 @@ type Graph struct {
 	// readersOfLast maps an object X to the nodes containing operations
 	// that read the value written by X's latest writer (reset whenever X
 	// is rewritten).  These nodes get inverse write-read edges q -> p when
-	// X becomes unexposed in p.
+	// X becomes unexposed in p.  A node in readersOfLast[X] always has X
+	// in its Reads, so absorb and Remove re-point it through node.reads.
 	readersOfLast map[op.ObjectID]map[graph.NodeID]struct{}
+	// readers maps an object X to every node whose Reads contain X — the
+	// sources of installation read-write edges into a new writer of X.
+	readers map[op.ObjectID]map[graph.NodeID]struct{}
+	// opNode maps each uninstalled operation's LSN to its node.
+	opNode map[op.SI]graph.NodeID
+	// opCount is the number of uninstalled operations across all nodes.
+	opCount int
 
 	// cycleRisk is set when the current AddOp adds an edge or merges two
 	// or more existing nodes — the only mutations that can turn the
@@ -124,6 +133,8 @@ func New(policy Policy) *Graph {
 		byVar:         make(map[op.ObjectID]graph.NodeID),
 		lastWriter:    make(map[op.ObjectID]graph.NodeID),
 		readersOfLast: make(map[op.ObjectID]map[graph.NodeID]struct{}),
+		readers:       make(map[op.ObjectID]map[graph.NodeID]struct{}),
+		opNode:        make(map[op.SI]graph.NodeID),
 	}
 }
 
@@ -134,14 +145,7 @@ func (wg *Graph) Policy() Policy { return wg.policy }
 func (wg *Graph) Len() int { return len(wg.nodes) }
 
 // OpCount returns the number of uninstalled operations across all nodes.
-func (wg *Graph) OpCount() int {
-	n := 0
-	//lint:ignore replaydeterminism commutative sum
-	for _, nd := range wg.nodes {
-		n += len(nd.ops)
-	}
-	return n
-}
+func (wg *Graph) OpCount() int { return wg.opCount }
 
 // Merges returns how many node merges have occurred (exp/writeset overlap).
 func (wg *Graph) Merges() int { return wg.merges }
@@ -175,21 +179,10 @@ func (wg *Graph) addOpW(o *op.Operation) (graph.NodeID, error) {
 	// this operation writes must be installed before it.
 	preds := wg.readWritePredecessors(o)
 
-	// Merge every node whose Writes overlaps writeset(o).
-	var mergeIDs []graph.NodeID
-	seen := map[graph.NodeID]struct{}{}
-	for _, x := range o.WriteSet {
-		//lint:ignore replaydeterminism collects a merge set; mergeInto sorts it before picking the survivor
-		for id, nd := range wg.nodes {
-			if _, ok := nd.writes[x]; ok {
-				if _, dup := seen[id]; !dup {
-					seen[id] = struct{}{}
-					mergeIDs = append(mergeIDs, id)
-				}
-			}
-		}
-	}
-	m := wg.mergeInto(mergeIDs)
+	// Merge every node whose Writes overlaps writeset(o).  Under W,
+	// vars(n) = Writes(n) and each object is in one vars set, so byVar
+	// names the only node writing x.
+	m := wg.mergeInto(wg.varHolders(o.WriteSet))
 	wg.attachOp(m, o, o.WriteSet /* vars gets full writeset */)
 	wg.addEdgesFrom(preds, m.id)
 	wg.trackReadsWrites(m, o)
@@ -230,17 +223,7 @@ func (wg *Graph) addOpRW(o *op.Operation) (graph.NodeID, error) {
 	}
 
 	// Merge nodes n with vars(n) ∩ exp(o) ≠ ∅ into m.
-	var mergeIDs []graph.NodeID
-	seen := map[graph.NodeID]struct{}{}
-	for _, x := range exp {
-		if id, ok := wg.byVar[x]; ok {
-			if _, dup := seen[id]; !dup {
-				seen[id] = struct{}{}
-				mergeIDs = append(mergeIDs, id)
-			}
-		}
-	}
-	m := wg.mergeInto(mergeIDs)
+	m := wg.mergeInto(wg.varHolders(exp))
 	wg.attachOp(m, o, o.WriteSet)
 	wg.addEdgesFrom(preds, m.id)
 
@@ -282,6 +265,18 @@ func (wg *Graph) addOpRW(o *op.Operation) (graph.NodeID, error) {
 	return wg.collapseCyclesAround(m.id), nil
 }
 
+// varHolders returns the nodes holding any of xs in their vars (with
+// repeats; mergeInto dedupes).
+func (wg *Graph) varHolders(xs []op.ObjectID) []graph.NodeID {
+	var out []graph.NodeID
+	for _, x := range xs {
+		if id, ok := wg.byVar[x]; ok {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 // readWritePredecessors returns ids of nodes containing operations that read
 // any object o writes — installation read-write edges point from them to
 // o's node.  The result is sorted: downstream consumers only build edge
@@ -289,24 +284,23 @@ func (wg *Graph) addOpRW(o *op.Operation) (graph.NodeID, error) {
 // into anything replay-visible.
 func (wg *Graph) readWritePredecessors(o *op.Operation) []graph.NodeID {
 	var out []graph.NodeID
-	seen := map[graph.NodeID]struct{}{}
 	for _, x := range o.WriteSet {
-		//lint:ignore replaydeterminism membership filter is order-independent; sorted below
-		for id, nd := range wg.nodes {
-			if _, ok := nd.reads[x]; ok {
-				if _, dup := seen[id]; !dup {
-					seen[id] = struct{}{}
-					out = append(out, id)
-				}
-			}
+		//lint:ignore replaydeterminism membership collection is order-independent; sorted below
+		for id := range wg.readers[x] {
+			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return sortedUnique(out)
 }
 
-// mergeInto merges the given nodes into one (creating a fresh node if the
-// list is empty) and returns the survivor.  Edges are re-pointed; self-edges
+func sortedUnique(ids []graph.NodeID) []graph.NodeID {
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
+// mergeInto merges the given nodes (repeats allowed) into one, the
+// smallest id surviving, creating a fresh node if the list is empty, and
+// returns the survivor.  Edges are re-pointed; self-edges
 // are dropped.
 func (wg *Graph) mergeInto(ids []graph.NodeID) *node {
 	if len(ids) == 0 {
@@ -322,7 +316,7 @@ func (wg *Graph) mergeInto(ids []graph.NodeID) *node {
 		wg.g.AddNode(nd.id)
 		return nd
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids = sortedUnique(ids)
 	survivor := wg.nodes[ids[0]]
 	if len(ids) > 1 {
 		// Collapsing distinct nodes can close a cycle through any path
@@ -337,18 +331,24 @@ func (wg *Graph) mergeInto(ids []graph.NodeID) *node {
 	return survivor
 }
 
-// absorb merges node id into survivor and deletes it.
+// absorb merges node id into survivor and deletes it.  It touches only the
+// victim's own ops, vars, reads, writes, and edges.
 func (wg *Graph) absorb(survivor *node, id graph.NodeID) {
 	victim := wg.nodes[id]
 	survivor.ops = mergeOps(survivor.ops, victim.ops)
+	for _, o := range victim.ops {
+		wg.opNode[o.LSN] = survivor.id
+	}
 	//lint:ignore replaydeterminism set union; resulting maps identical in any order
 	for x := range victim.vars {
 		survivor.vars[x] = struct{}{}
 		wg.byVar[x] = survivor.id
 	}
-	//lint:ignore replaydeterminism set union; resulting maps identical in any order
+	//lint:ignore replaydeterminism set union and per-object reader re-point; resulting maps identical in any order
 	for x := range victim.reads {
 		survivor.reads[x] = struct{}{}
+		repoint(wg.readers[x], id, survivor.id)
+		repoint(wg.readersOfLast[x], id, survivor.id)
 	}
 	//lint:ignore replaydeterminism set union; resulting maps identical in any order
 	for x := range victim.writes {
@@ -376,20 +376,42 @@ func (wg *Graph) absorb(survivor *node, id graph.NodeID) {
 	}
 	wg.g.RemoveNode(id)
 	delete(wg.nodes, id)
-	// Re-point reader registries.
-	//lint:ignore replaydeterminism independent per-entry re-point; final maps identical in any order
-	for _, readers := range wg.readersOfLast {
-		if _, ok := readers[id]; ok {
-			delete(readers, id)
-			readers[survivor.id] = struct{}{}
+}
+
+// repoint replaces from with to in the node set, if from is a member.
+func repoint(set map[graph.NodeID]struct{}, from, to graph.NodeID) {
+	if _, ok := set[from]; ok {
+		delete(set, from)
+		set[to] = struct{}{}
+	}
+}
+
+// dropReader forgets that node id reads x, dropping x's set once empty.
+func dropReader(index map[op.ObjectID]map[graph.NodeID]struct{}, x op.ObjectID, id graph.NodeID) {
+	if set, ok := index[x]; ok {
+		delete(set, id)
+		if len(set) == 0 {
+			delete(index, x)
 		}
 	}
+}
+
+// addReader records that node id reads x.
+func addReader(index map[op.ObjectID]map[graph.NodeID]struct{}, x op.ObjectID, id graph.NodeID) {
+	set, ok := index[x]
+	if !ok {
+		set = make(map[graph.NodeID]struct{})
+		index[x] = set
+	}
+	set[id] = struct{}{}
 }
 
 // attachOp appends o to nd and adds varsToAdd into vars(nd), re-pointing the
 // byVar registry.
 func (wg *Graph) attachOp(nd *node, o *op.Operation, varsToAdd []op.ObjectID) {
 	nd.ops = append(nd.ops, o)
+	wg.opNode[o.LSN] = nd.id
+	wg.opCount++
 	for _, x := range varsToAdd {
 		nd.vars[x] = struct{}{}
 		// Under rW an object may currently sit in another node's vars only
@@ -399,6 +421,7 @@ func (wg *Graph) attachOp(nd *node, o *op.Operation, varsToAdd []op.ObjectID) {
 	}
 	for _, x := range o.ReadSet {
 		nd.reads[x] = struct{}{}
+		addReader(wg.readers, x, nd.id)
 	}
 	for _, x := range o.WriteSet {
 		nd.writes[x] = struct{}{}
@@ -410,14 +433,11 @@ func (wg *Graph) attachOp(nd *node, o *op.Operation, varsToAdd []op.ObjectID) {
 // lives in nd.  Reads happen before writes within an operation.
 func (wg *Graph) trackReadsWrites(nd *node, o *op.Operation) {
 	for _, x := range o.ReadSet {
-		if _, ok := wg.readersOfLast[x]; !ok {
-			wg.readersOfLast[x] = make(map[graph.NodeID]struct{})
-		}
-		wg.readersOfLast[x][nd.id] = struct{}{}
+		addReader(wg.readersOfLast, x, nd.id)
 	}
 	for _, x := range o.WriteSet {
 		wg.lastWriter[x] = nd.id
-		wg.readersOfLast[x] = make(map[graph.NodeID]struct{})
+		delete(wg.readersOfLast, x)
 	}
 }
 
@@ -591,6 +611,12 @@ func (wg *Graph) Nodes() []*NodeView {
 // of PurgeCache.
 func (wg *Graph) Minimal() []graph.NodeID { return wg.g.Minimal() }
 
+// MinMinimal returns the smallest-id minimal node, Minimal()[0], in O(1).
+func (wg *Graph) MinMinimal() (graph.NodeID, bool) { return wg.g.MinMinimal() }
+
+// IsMinimal reports whether node id exists and has no predecessors.
+func (wg *Graph) IsMinimal(id graph.NodeID) bool { return wg.g.IsMinimal(id) }
+
 // NodeOf returns the id of the node holding x in its vars, if any.
 func (wg *Graph) NodeOf(x op.ObjectID) (graph.NodeID, bool) {
 	id, ok := wg.byVar[x]
@@ -600,15 +626,8 @@ func (wg *Graph) NodeOf(x op.ObjectID) (graph.NodeID, bool) {
 // NodeOfOp returns the id of the node containing the operation with the
 // given LSN, if any.
 func (wg *Graph) NodeOfOp(lsn op.SI) (graph.NodeID, bool) {
-	//lint:ignore replaydeterminism an LSN lives in exactly one node, so at most one iteration matches
-	for id, nd := range wg.nodes {
-		for _, o := range nd.ops {
-			if o.LSN == lsn {
-				return id, true
-			}
-		}
-	}
-	return 0, false
+	id, ok := wg.opNode[lsn]
+	return id, ok
 }
 
 // HasEdge reports whether the write graph orders u before v.
@@ -634,16 +653,21 @@ func (wg *Graph) Remove(id graph.NodeID) (*NodeView, error) {
 		}
 	}
 	//lint:ignore replaydeterminism independent per-key deletes; final maps identical in any order
-	for x, w := range wg.lastWriter {
-		if w == id {
+	for x := range nd.writes {
+		if wg.lastWriter[x] == id {
 			delete(wg.lastWriter, x)
 			delete(wg.readersOfLast, x)
 		}
 	}
 	//lint:ignore replaydeterminism independent per-entry deletes; final maps identical in any order
-	for _, readers := range wg.readersOfLast {
-		delete(readers, id)
+	for x := range nd.reads {
+		dropReader(wg.readersOfLast, x, id)
+		dropReader(wg.readers, x, id)
 	}
+	for _, o := range nd.ops {
+		delete(wg.opNode, o.LSN)
+	}
+	wg.opCount -= len(nd.ops)
 	wg.g.RemoveNode(id)
 	delete(wg.nodes, id)
 	return v, nil
@@ -683,8 +707,10 @@ func (wg *Graph) IdentityBreakupPlan(id graph.NodeID) ([]op.ObjectID, error) {
 }
 
 // Validate checks the graph's structural invariants: the underlying digraph
-// is consistent and acyclic, each object is in at most one vars set, byVar
-// agrees with node contents, and under W vars == Writes for every node.
+// is consistent and acyclic (with an exact root set), each object is in at
+// most one vars set, byVar agrees with node contents, under W vars ==
+// Writes for every node, and the reader, last-writer, op, and op-count
+// indexes agree with node contents.
 func (wg *Graph) Validate() error {
 	if err := wg.g.Validate(); err != nil {
 		return err
@@ -723,6 +749,62 @@ func (wg *Graph) Validate() error {
 		}
 		if _, ok := nd.vars[x]; !ok {
 			return fmt.Errorf("writegraph: byVar[%q] -> node %d lacking the var", x, id)
+		}
+	}
+	return wg.validateIndexes()
+}
+
+// validateIndexes checks readers, readersOfLast, lastWriter, opNode, and
+// opCount against node contents.
+func (wg *Graph) validateIndexes() error {
+	ops, readPairs := 0, 0
+	//lint:ignore replaydeterminism invariant scan; any violation fails, which one is reported is immaterial
+	for id, nd := range wg.nodes {
+		ops += len(nd.ops)
+		for _, o := range nd.ops {
+			if got, ok := wg.opNode[o.LSN]; !ok || got != id {
+				return fmt.Errorf("writegraph: opNode[%d]=%d,%v but op is in node %d", o.LSN, got, ok, id)
+			}
+		}
+		//lint:ignore replaydeterminism invariant scan; any violation fails, which one is reported is immaterial
+		for x := range nd.reads {
+			if _, ok := wg.readers[x][id]; !ok {
+				return fmt.Errorf("writegraph: node %d reads %q but is missing from its reader index", id, x)
+			}
+		}
+		readPairs += len(nd.reads)
+	}
+	if ops != wg.opCount || ops != len(wg.opNode) {
+		return fmt.Errorf("writegraph: nodes hold %d ops but opCount=%d and opNode has %d", ops, wg.opCount, len(wg.opNode))
+	}
+	indexed := 0
+	//lint:ignore replaydeterminism invariant scan; any violation fails, which one is reported is immaterial
+	for x, set := range wg.readers {
+		if len(set) == 0 {
+			return fmt.Errorf("writegraph: empty reader set kept for %q", x)
+		}
+		indexed += len(set)
+	}
+	if indexed != readPairs {
+		return fmt.Errorf("writegraph: reader index holds %d (object, node) pairs, nodes hold %d", indexed, readPairs)
+	}
+	//lint:ignore replaydeterminism invariant scan; any violation fails, which one is reported is immaterial
+	for x, set := range wg.readersOfLast {
+		//lint:ignore replaydeterminism invariant scan; any violation fails, which one is reported is immaterial
+		for id := range set {
+			if _, ok := wg.readers[x][id]; !ok {
+				return fmt.Errorf("writegraph: readersOfLast[%q] holds node %d, which does not read it", x, id)
+			}
+		}
+	}
+	//lint:ignore replaydeterminism invariant scan; any violation fails, which one is reported is immaterial
+	for x, id := range wg.lastWriter {
+		nd, ok := wg.nodes[id]
+		if !ok {
+			return fmt.Errorf("writegraph: lastWriter[%q] -> missing node %d", x, id)
+		}
+		if _, ok := nd.writes[x]; !ok {
+			return fmt.Errorf("writegraph: lastWriter[%q] -> node %d, which does not write it", x, id)
 		}
 	}
 	return nil
