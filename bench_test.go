@@ -73,8 +73,8 @@ func BenchmarkE1LogBytes(b *testing.B) {
 					}
 				}
 				b.StopTimer()
-				st := eng.Log().Stats()
-				b.ReportMetric(float64(st.TotalOpPayloadBytes())/float64(b.N), "logbytes/pair")
+				logged := eng.Metrics().Sum("wal.op_payload_bytes.")
+				b.ReportMetric(float64(logged)/float64(b.N), "logbytes/pair")
 			})
 		}
 	}
@@ -162,7 +162,7 @@ func BenchmarkE5IdentityVsFlushTxn(b *testing.B) {
 					if err := eng.FlushAll(); err != nil {
 						b.Fatal(err)
 					}
-					objWrites += eng.Store().Stats().ObjectWrites
+					objWrites += eng.Metrics().Counters["stable.object_writes"]
 				}
 				b.ReportMetric(float64(objWrites)/float64(b.N), "objwrites/install")
 			})
@@ -282,7 +282,7 @@ func BenchmarkE7AppRecovery(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(eng.Log().Stats().TotalOpPayloadBytes())/float64(b.N), "logbytes/round")
+			b.ReportMetric(float64(eng.Metrics().Sum("wal.op_payload_bytes."))/float64(b.N), "logbytes/round")
 		})
 	}
 }
@@ -318,7 +318,7 @@ func BenchmarkE8FileOps(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(eng.Log().Stats().TotalOpPayloadBytes())/float64(b.N), "logbytes/copy")
+			b.ReportMetric(float64(eng.Metrics().Sum("wal.op_payload_bytes."))/float64(b.N), "logbytes/copy")
 		})
 	}
 }
@@ -351,7 +351,7 @@ func BenchmarkE9BtreeSplit(b *testing.B) {
 					}
 					inserts++
 				}
-				logBytes += eng.Log().Stats().TotalOpPayloadBytes()
+				logBytes += eng.Metrics().Sum("wal.op_payload_bytes.")
 			}
 			b.ReportMetric(float64(logBytes)/float64(inserts), "logbytes/insert")
 		})
@@ -623,6 +623,8 @@ func BenchmarkE12CommitStreams(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			reg := obs.NewRegistry()
+			l.SetObs(reg)
 			l.SetStreams(cfg.streams, cfg.absorb)
 			b.ResetTimer()
 			var wg sync.WaitGroup
@@ -662,11 +664,11 @@ func BenchmarkE12CommitStreams(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StopTimer()
-			st := l.Stats()
+			st := reg.Snapshot().Counters
 			total := float64(committers) * float64(b.N)
 			b.ReportMetric(total/b.Elapsed().Seconds(), "appends/sec")
-			b.ReportMetric(float64(st.BytesElided)/total, "elidedB/op")
-			b.ReportMetric(float64(st.Absorbed)/total, "absorbed-frac")
+			b.ReportMetric(float64(st["wal.absorb.bytes_elided"])/total, "elidedB/op")
+			b.ReportMetric(float64(st["wal.absorb.hits"])/total, "absorbed-frac")
 		})
 	}
 }

@@ -171,6 +171,7 @@ func main() {
 	if *standby {
 		sopts := opts
 		sopts.LogDevice = nil // the standby keeps its own in-memory log
+		sopts.Obs = nil       // and its own registry, so the counters above stay the primary's
 		sb, err = ship.NewStandby(ship.StandbyConfig{Opts: sopts, TruncateOnCheckpoint: sopts.LogInstalls})
 		if err != nil {
 			fatal(err)
@@ -198,11 +199,11 @@ func main() {
 		fmt.Printf("workload stopped by injected fault: %v\n", driveErr)
 		fmt.Printf("  repro token: %s\n", plan.Token())
 	}
-	st := eng.Stats()
-	fmt.Printf("  log:   %d bytes appended (%d bytes of data values)\n", st.Log.BytesAppended, st.Log.ValueBytes)
-	fmt.Printf("  store: %d object writes\n", st.Store.ObjectWrites)
+	c := eng.Metrics().Counters
+	fmt.Printf("  log:   %d bytes appended (%d bytes of data values)\n", c["wal.bytes_appended"], c["wal.value_bytes"])
+	fmt.Printf("  store: %d object writes\n", c["stable.object_writes"])
 	fmt.Printf("  cache: %d installs, %d identity writes, %d installed-without-flush\n",
-		st.Cache.Installs, st.Cache.IdentityWrites, st.Cache.InstalledNotFlushed)
+		c["cache.installs"], c["cache.identity_writes"], c["cache.installed_not_flushed"])
 
 	if sender != nil {
 		if err := eng.Log().Force(); err != nil && !errors.Is(err, fault.ErrInjected) && !wal.IsTransient(err) {

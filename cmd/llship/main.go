@@ -68,8 +68,10 @@ func main() {
 	}
 
 	// Warm standby from the very first record; its link carries the fault
-	// plan.
-	sbA, err := ship.NewStandby(ship.StandbyConfig{Opts: opts, TruncateOnCheckpoint: opts.LogInstalls})
+	// plan.  Each standby counts into its own registry.
+	sbOpts := opts
+	sbOpts.Obs = nil
+	sbA, err := ship.NewStandby(ship.StandbyConfig{Opts: sbOpts, TruncateOnCheckpoint: opts.LogInstalls})
 	if err != nil {
 		fatal(err)
 	}
@@ -99,7 +101,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			sbB, err = ship.Bootstrap(ship.StandbyConfig{Opts: opts, TruncateOnCheckpoint: opts.LogInstalls}, b)
+			sbB, err = ship.Bootstrap(ship.StandbyConfig{Opts: sbOpts, TruncateOnCheckpoint: opts.LogInstalls}, b)
 			if err != nil {
 				return err
 			}
@@ -131,9 +133,9 @@ func main() {
 	if fired := plan.Fired(); len(fired) > 0 {
 		fmt.Printf("  wire faults fired: %d (repro token: %s)\n", len(fired), plan.Token())
 	}
-	stA := sbA.Stats()
+	stA := sbA.Metrics().Counters
 	fmt.Printf("  standby A: %d batches, %d applied, %d dups, %d gaps, %d installs mirrored\n",
-		stA.Batches, stA.Applied, stA.Dups, stA.Gaps, stA.Installs)
+		stA["ship.batches"], stA["ship.applied_ops"], stA["ship.dups"], stA["ship.gaps"], stA["ship.installs_mirrored"])
 	if sbB != nil {
 		fmt.Printf("  standby B: applied %d (bootstrapped mid-run)\n", sbB.Applied())
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"logicallog/internal/core"
+	"logicallog/internal/obs/obstest"
 	"logicallog/internal/op"
 	"logicallog/internal/wal"
 )
@@ -102,11 +103,11 @@ func TestLogicalWriteLogsNoValues(t *testing.T) {
 	if err := app.Write("dst"); err != nil {
 		t.Fatal(err)
 	}
-	st := eng.Log().Stats()
-	if st.ValueBytes != 0 {
-		t.Errorf("logical application run logged %d value bytes", st.ValueBytes)
+	st := eng.Metrics()
+	if obstest.Counter(t, st, "wal.value_bytes") != 0 {
+		t.Errorf("logical application run logged %d value bytes", obstest.Counter(t, st, "wal.value_bytes"))
 	}
-	logical := st.OpPayloadBytes[op.KindRead] + st.OpPayloadBytes[op.KindLogicalWrite] + st.OpPayloadBytes[op.KindExecute]
+	logical := obstest.Counter(t, st, "wal.op_payload_bytes.R") + obstest.Counter(t, st, "wal.op_payload_bytes.W_L") + obstest.Counter(t, st, "wal.op_payload_bytes.Ex")
 	if logical > 512 {
 		t.Errorf("logical payload = %d bytes; must be id-sized, not data-sized", logical)
 	}
@@ -114,7 +115,7 @@ func TestLogicalWriteLogsNoValues(t *testing.T) {
 	if err := app.WritePhysical("dst2"); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Log().Stats().ValueBytes < 64*1024 {
+	if obstest.Counter(t, eng.Metrics(), "wal.value_bytes") < 64*1024 {
 		t.Error("physical write fallback failed to log the value")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"logicallog/internal/core"
+	"logicallog/internal/obs/obstest"
 	"logicallog/internal/op"
 )
 
@@ -184,15 +185,15 @@ func TestLogicalSplitLogsNoPageContents(t *testing.T) {
 	if err := tree.Insert(key(8), bigVal); err != nil {
 		t.Fatal(err)
 	}
-	st := eng.Log().Stats()
+	st := eng.Metrics()
 	// The split logged ids only; values logged are the meta rewrites (tiny)
 	// plus the inserted record itself (2 KiB), never the ~16 KiB of moved
 	// page contents.
-	if st.ValueBytes > 4096 {
-		t.Errorf("split+insert logged %d value bytes; logical split must not log page contents", st.ValueBytes)
+	if obstest.Counter(t, st, "wal.value_bytes") > 4096 {
+		t.Errorf("split+insert logged %d value bytes; logical split must not log page contents", obstest.Counter(t, st, "wal.value_bytes"))
 	}
-	if st.OpPayloadBytes[op.KindLogical] > 512 {
-		t.Errorf("logical split payload = %d bytes", st.OpPayloadBytes[op.KindLogical])
+	if obstest.Counter(t, st, "wal.op_payload_bytes.L") > 512 {
+		t.Errorf("logical split payload = %d bytes", obstest.Counter(t, st, "wal.op_payload_bytes.L"))
 	}
 	if err := tree.Check(); err != nil {
 		t.Fatal(err)
@@ -222,7 +223,7 @@ func TestPhysiologicalBaselineLogsPageContents(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The lowered split logs all written pages' contents.
-	if got := eng.Log().Stats().ValueBytes; got < 8*1024 {
+	if got := obstest.Counter(t, eng.Metrics(), "wal.value_bytes"); got < 8*1024 {
 		t.Errorf("physiological split logged only %d value bytes", got)
 	}
 	if err := tree.Check(); err != nil {

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"logicallog/internal/op"
+	"logicallog/internal/obs/obstest"
 )
 
 func TestLeafPageNextRoundTrip(t *testing.T) {
@@ -211,14 +211,14 @@ func TestLogicalMergeLogsNoPageContents(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := eng.Log().Stats()
+	st := eng.Metrics()
 	// Deletes log only keys; merges/rebalances/collapses log only ids.  The
 	// ~24 KiB of leaf contents shuffled between pages must stay off the log.
-	if st.ValueBytes > 2048 {
-		t.Errorf("drain logged %d value bytes; logical merges must not log page contents", st.ValueBytes)
+	if obstest.Counter(t, st, "wal.value_bytes") > 2048 {
+		t.Errorf("drain logged %d value bytes; logical merges must not log page contents", obstest.Counter(t, st, "wal.value_bytes"))
 	}
-	if st.OpPayloadBytes[op.KindLogical] > 2048 {
-		t.Errorf("merge/rebalance payload = %d bytes", st.OpPayloadBytes[op.KindLogical])
+	if obstest.Counter(t, st, "wal.op_payload_bytes.L") > 2048 {
+		t.Errorf("merge/rebalance payload = %d bytes", obstest.Counter(t, st, "wal.op_payload_bytes.L"))
 	}
 	if err := tree.Check(); err != nil {
 		t.Fatal(err)

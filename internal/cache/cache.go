@@ -75,15 +75,33 @@ type Config struct {
 	// batch that failed with a transient (retryable) I/O error — see
 	// wal.IsTransient.  Zero disables retry.
 	TransientRetries int
-	// Obs, when non-nil, receives the manager's hot-path metrics:
-	// atomic-flush-set and Notx size distributions, install latency,
-	// write-graph node/operation gauges, and transient-retry backoff.
+	// Obs, when non-nil, receives the manager's counters (cache.*) and
+	// hot-path metrics: atomic-flush-set and Notx size distributions,
+	// install latency, write-graph node/operation gauges, and
+	// transient-retry backoff.  Nil counts nothing.
 	Obs *obs.Registry
 }
 
-// cacheObs holds the manager's optional metric handles; all nil (and hence
-// no-ops) when Config.Obs is unset.
+// cacheObs holds the manager's metric handles; all nil (and hence no-ops)
+// when Config.Obs is unset.
 type cacheObs struct {
+	// opsExecuted counts operations applied (normal execution + redo).
+	opsExecuted *obs.Counter
+	// installs counts write-graph nodes installed.
+	installs *obs.Counter
+	// identityWrites counts CM-initiated W_IP operations.
+	identityWrites *obs.Counter
+	// multiObjectFlushes counts installs whose final flush wrote >1 object.
+	multiObjectFlushes *obs.Counter
+	// objectsFlushed counts objects written to the stable store by installs.
+	objectsFlushed *obs.Counter
+	// installedNotFlushed counts objects installed via Notx (no flush).
+	installedNotFlushed *obs.Counter
+	// evictions counts clean-entry evictions.
+	evictions *obs.Counter
+	// checkpoints counts checkpoint records written.
+	checkpoints *obs.Counter
+
 	// flushSetSize is |vars(n)| per installed node — the atomic-flush-set
 	// size distribution E3 reasons about.
 	flushSetSize *obs.Histogram
@@ -101,17 +119,22 @@ type cacheObs struct {
 }
 
 func newCacheObs(r *obs.Registry) cacheObs {
-	if r == nil {
-		return cacheObs{}
-	}
 	return cacheObs{
-		flushSetSize:   r.Histogram("cache.install.flush_set_size"),
-		notxSize:       r.Histogram("cache.install.notx_size"),
-		installNs:      r.Histogram("cache.install.ns"),
-		wgNodes:        r.Gauge("writegraph.nodes"),
-		wgOps:          r.Gauge("writegraph.ops"),
-		retryBackoffNs: r.Histogram("cache.retry.backoff_ns"),
-		retries:        r.Counter("cache.retry.attempts"),
+		opsExecuted:         r.Counter("cache.ops_executed"),
+		installs:            r.Counter("cache.installs"),
+		identityWrites:      r.Counter("cache.identity_writes"),
+		multiObjectFlushes:  r.Counter("cache.multi_object_flushes"),
+		objectsFlushed:      r.Counter("cache.objects_flushed"),
+		installedNotFlushed: r.Counter("cache.installed_not_flushed"),
+		evictions:           r.Counter("cache.evictions"),
+		checkpoints:         r.Counter("cache.checkpoints"),
+		flushSetSize:        r.Histogram("cache.install.flush_set_size"),
+		notxSize:            r.Histogram("cache.install.notx_size"),
+		installNs:           r.Histogram("cache.install.ns"),
+		wgNodes:             r.Gauge("writegraph.nodes"),
+		wgOps:               r.Gauge("writegraph.ops"),
+		retryBackoffNs:      r.Histogram("cache.retry.backoff_ns"),
+		retries:             r.Counter("cache.retry.attempts"),
 	}
 }
 
@@ -121,26 +144,6 @@ const (
 	transientRetryBase = 20 * time.Microsecond
 	transientRetryCap  = 500 * time.Microsecond
 )
-
-// Stats counts cache-manager activity.
-type Stats struct {
-	// OpsExecuted counts operations applied (normal execution + redo).
-	OpsExecuted int64
-	// Installs counts write-graph nodes installed.
-	Installs int64
-	// IdentityWrites counts CM-initiated W_IP operations.
-	IdentityWrites int64
-	// MultiObjectFlushes counts installs whose final flush wrote >1 object.
-	MultiObjectFlushes int64
-	// ObjectsFlushed counts objects written to the stable store by installs.
-	ObjectsFlushed int64
-	// InstalledNotFlushed counts objects installed via Notx (no flush).
-	InstalledNotFlushed int64
-	// Evictions counts clean-entry evictions.
-	Evictions int64
-	// Checkpoints counts checkpoint records written.
-	Checkpoints int64
-}
 
 // ErrNotFound is returned when an object is in neither cache nor stable
 // store (or has been deleted).
@@ -196,9 +199,6 @@ type Manager struct {
 	wg     *writegraph.Graph
 	wgMu   sync.Mutex // guards wg.AddOp from concurrent redo workers
 	shards [tableShards]tableShard
-
-	statsMu sync.Mutex
-	stats   Stats
 
 	obs cacheObs
 }
@@ -295,22 +295,6 @@ func (m *Manager) RangeLive(lo, hi op.ObjectID, fn func(x op.ObjectID, exists bo
 		})
 		sh.mu.RUnlock()
 	}
-}
-
-// Stats returns a snapshot of the manager's counters.
-func (m *Manager) Stats() Stats {
-	m.statsMu.Lock()
-	defer m.statsMu.Unlock()
-	return m.stats
-}
-
-// ResetStats zeroes the manager's counters (benchmark phases; Engine's
-// coherent ResetStats resets the WAL, store, cache, and obs registry
-// together under the engine mutex).
-func (m *Manager) ResetStats() {
-	m.statsMu.Lock()
-	defer m.statsMu.Unlock()
-	m.stats = Stats{}
 }
 
 // WriteGraph exposes the manager's write graph for inspection.
@@ -485,9 +469,7 @@ func (m *Manager) applyLogged(o *op.Operation, writes map[op.ObjectID][]byte) er
 	if err != nil {
 		return err
 	}
-	m.statsMu.Lock()
-	m.stats.OpsExecuted++
-	m.statsMu.Unlock()
+	m.obs.opsExecuted.Inc()
 	return nil
 }
 
@@ -637,9 +619,7 @@ func (m *Manager) InstallNode(id graph.NodeID) ([]op.ObjectID, error) {
 		default:
 			mode = stable.ModeShadow // identity strategy shouldn't get here
 		}
-		m.statsMu.Lock()
-		m.stats.MultiObjectFlushes++
-		m.statsMu.Unlock()
+		m.obs.multiObjectFlushes.Inc()
 	}
 	if len(entries) > 0 {
 		err := m.store.WriteBatch(entries, mode)
@@ -667,11 +647,9 @@ func (m *Manager) InstallNode(id graph.NodeID) ([]op.ObjectID, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.statsMu.Lock()
-	m.stats.Installs++
-	m.stats.ObjectsFlushed += int64(len(view.Vars))
-	m.stats.InstalledNotFlushed += int64(len(view.Notx))
-	m.statsMu.Unlock()
+	m.obs.installs.Inc()
+	m.obs.objectsFlushed.Add(int64(len(view.Vars)))
+	m.obs.installedNotFlushed.Add(int64(len(view.Notx)))
 	m.obs.flushSetSize.Observe(int64(len(view.Vars)))
 	m.obs.notxSize.Observe(int64(len(view.Notx)))
 	if m.obs.wgNodes != nil {
@@ -756,9 +734,7 @@ func (m *Manager) identityWrite(x op.ObjectID) error {
 	if err := m.Execute(o); err != nil {
 		return err
 	}
-	m.statsMu.Lock()
-	m.stats.IdentityWrites++
-	m.statsMu.Unlock()
+	m.obs.identityWrites.Inc()
 	return nil
 }
 
@@ -788,9 +764,7 @@ func (m *Manager) EvictClean(x op.ObjectID) error {
 		return fmt.Errorf("cache: cannot evict dirty object %q (rSI %d)", x, e.rsi())
 	}
 	m.remove(x)
-	m.statsMu.Lock()
-	m.stats.Evictions++
-	m.statsMu.Unlock()
+	m.obs.evictions.Inc()
 	return nil
 }
 
@@ -822,9 +796,7 @@ func (m *Manager) Checkpoint() (op.SI, error) {
 	if err := m.log.Force(); err != nil {
 		return 0, err
 	}
-	m.statsMu.Lock()
-	m.stats.Checkpoints++
-	m.statsMu.Unlock()
+	m.obs.checkpoints.Inc()
 	return lsn, nil
 }
 

@@ -5,27 +5,43 @@ import (
 	"math/rand"
 	"testing"
 
+	"logicallog/internal/obs"
+	"logicallog/internal/obs/obstest"
 	"logicallog/internal/op"
 	"logicallog/internal/stable"
 	"logicallog/internal/wal"
 	"logicallog/internal/writegraph"
 )
 
+// newTestManager builds a manager over a fresh log and store, all three
+// counting into one registry (read with count).
 func newTestManager(t *testing.T, cfg Config) (*Manager, *wal.Log, *stable.Store) {
 	t.Helper()
 	if cfg.Registry == nil {
 		cfg.Registry = op.NewRegistry()
 	}
+	if cfg.Obs == nil {
+		cfg.Obs = obs.NewRegistry()
+	}
 	log, err := wal.New(wal.NewMemDevice())
 	if err != nil {
 		t.Fatal(err)
 	}
+	log.SetObs(cfg.Obs)
 	store := stable.NewStore()
+	store.SetObs(cfg.Obs)
 	m, err := NewManager(cfg, log, store)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m, log, store
+}
+
+// count reads one of the counters newTestManager attached, failing the test
+// on an unregistered name.
+func count(t *testing.T, m *Manager, name string) int64 {
+	t.Helper()
+	return obstest.Counter(t, m.cfg.Obs.Snapshot(), name)
 }
 
 func rwIdentityCfg() Config {
@@ -188,8 +204,8 @@ func TestFigure7InstallSequence(t *testing.T) {
 			t.Errorf("stable %s = %q, %v", x, v.Val, err)
 		}
 	}
-	if st := m.Stats(); st.InstalledNotFlushed != 1 {
-		t.Errorf("InstalledNotFlushed = %d, want 1 (X in Notx of A's node)", st.InstalledNotFlushed)
+	if n := count(t, m, "cache.installed_not_flushed"); n != 1 {
+		t.Errorf("cache.installed_not_flushed = %d, want 1 (X in Notx of A's node)", n)
 	}
 	// The install log contains an install record naming X unflushed with
 	// rSI = C's LSN (3).  Install records are lazily logged; force first.
@@ -265,19 +281,17 @@ func TestCycleIdentityWriteBreakup(t *testing.T) {
 	if m.WriteGraph().Len() != 1 {
 		t.Fatalf("write graph nodes = %d, want 1 (collapsed cycle)", m.WriteGraph().Len())
 	}
-	store.ResetStats()
+	m.cfg.Obs.Reset()
 	if err := m.PurgeAll(); err != nil {
 		t.Fatal(err)
 	}
-	st := m.Stats()
-	if st.IdentityWrites != 1 {
-		t.Errorf("IdentityWrites = %d, want 1", st.IdentityWrites)
+	if n := count(t, m, "cache.identity_writes"); n != 1 {
+		t.Errorf("cache.identity_writes = %d, want 1", n)
 	}
-	if st.MultiObjectFlushes != 0 {
-		t.Errorf("MultiObjectFlushes = %d, want 0 (identity writes avoid them)", st.MultiObjectFlushes)
+	if n := count(t, m, "cache.multi_object_flushes"); n != 0 {
+		t.Errorf("cache.multi_object_flushes = %d, want 0 (identity writes avoid them)", n)
 	}
-	io := store.Stats()
-	if io.PointerSwings != 0 || io.FlushTxnLogWrites != 0 {
+	if count(t, m, "stable.pointer_swings") != 0 || count(t, m, "stable.flushtxn_log_writes") != 0 {
 		t.Error("identity-write strategy must not use shadow/flush-txn mechanisms")
 	}
 	// Final stable values match an in-order replay.
@@ -292,39 +306,37 @@ func TestCycleIdentityWriteBreakup(t *testing.T) {
 }
 
 func TestCycleShadowStrategy(t *testing.T) {
-	m, _, store := newTestManager(t, Config{
+	m, _, _ := newTestManager(t, Config{
 		Policy: writegraph.PolicyRW, Strategy: StrategyShadow, LogInstalls: true,
 	})
 	cycleOps(t, m)
-	store.ResetStats()
+	m.cfg.Obs.Reset()
 	if err := m.PurgeAll(); err != nil {
 		t.Fatal(err)
 	}
-	st := m.Stats()
-	if st.MultiObjectFlushes != 1 || st.IdentityWrites != 0 {
-		t.Errorf("MultiObjectFlushes = %d, IdentityWrites = %d", st.MultiObjectFlushes, st.IdentityWrites)
+	if mf, iw := count(t, m, "cache.multi_object_flushes"), count(t, m, "cache.identity_writes"); mf != 1 || iw != 0 {
+		t.Errorf("cache.multi_object_flushes = %d, cache.identity_writes = %d", mf, iw)
 	}
-	if store.Stats().PointerSwings != 1 {
-		t.Errorf("PointerSwings = %d, want 1", store.Stats().PointerSwings)
+	if n := count(t, m, "stable.pointer_swings"); n != 1 {
+		t.Errorf("stable.pointer_swings = %d, want 1", n)
 	}
 }
 
 func TestCycleFlushTxnStrategy(t *testing.T) {
-	m, _, store := newTestManager(t, Config{
+	m, _, _ := newTestManager(t, Config{
 		Policy: writegraph.PolicyRW, Strategy: StrategyFlushTxn, LogInstalls: true,
 	})
 	cycleOps(t, m)
-	store.ResetStats()
+	m.cfg.Obs.Reset()
 	if err := m.PurgeAll(); err != nil {
 		t.Fatal(err)
 	}
-	io := store.Stats()
 	// 2 values + 1 commit on the flush-txn log, then 2 in-place writes.
-	if io.FlushTxnLogWrites != 3 {
-		t.Errorf("FlushTxnLogWrites = %d, want 3", io.FlushTxnLogWrites)
+	if n := count(t, m, "stable.flushtxn_log_writes"); n != 3 {
+		t.Errorf("stable.flushtxn_log_writes = %d, want 3", n)
 	}
-	if io.ObjectWrites != 2 {
-		t.Errorf("ObjectWrites = %d, want 2", io.ObjectWrites)
+	if n := count(t, m, "stable.object_writes"); n != 2 {
+		t.Errorf("stable.object_writes = %d, want 2", n)
 	}
 }
 
@@ -361,7 +373,7 @@ func TestCheckpointAndTruncate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Stats().Checkpoints != 1 {
+	if count(t, m, "cache.checkpoints") != 1 {
 		t.Error("checkpoint not counted")
 	}
 	// Truncation point is B's rSI (the append's LSN), so records before it

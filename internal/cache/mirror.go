@@ -67,14 +67,12 @@ func (m *Manager) MirrorInstall(rec *wal.InstallRecord) ([]op.SI, error) {
 		return nil, err
 	}
 
-	m.statsMu.Lock()
-	m.stats.Installs++
-	m.stats.ObjectsFlushed += int64(len(entries))
-	m.stats.InstalledNotFlushed += int64(len(rec.Unflushed))
+	m.obs.installs.Inc()
+	m.obs.objectsFlushed.Add(int64(len(entries)))
+	m.obs.installedNotFlushed.Add(int64(len(rec.Unflushed)))
 	if len(entries) > 1 {
-		m.stats.MultiObjectFlushes++
+		m.obs.multiObjectFlushes.Inc()
 	}
-	m.statsMu.Unlock()
 
 	// Advance rSIs exactly as the primary did (Section 5): flushed objects
 	// come clean, unflushed (Notx) objects stay dirty at the lSI of the
@@ -148,10 +146,8 @@ func (m *Manager) MirrorFlush(rec *wal.FlushRecord) ([]op.SI, error) {
 	if !e.exists {
 		m.remove(rec.Object)
 	}
-	m.statsMu.Lock()
-	m.stats.Installs++
-	m.stats.ObjectsFlushed++
-	m.statsMu.Unlock()
+	m.obs.installs.Inc()
+	m.obs.objectsFlushed.Inc()
 	return opLSNs, nil
 }
 

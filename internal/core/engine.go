@@ -63,11 +63,11 @@ type Options struct {
 	// superseded by a later blind write to the same object before either is
 	// forced is replaced by a tombstone in the durable log.  Off by default.
 	AbsorbWrites bool
-	// Obs, when non-nil, receives hot-path metrics from every layer (WAL
-	// append/force latency, group-commit batch sizes, flush-set sizes,
-	// write-graph gauges, redo-chain distributions).  Engine.Metrics()
-	// merges its snapshot with the legacy Stats counters.  Nil disables
-	// instrumentation at ~0 cost.
+	// Obs is the registry every layer counts into (wal.*, stable.*,
+	// cache.*, recovery.*, and the latency histograms and write-graph
+	// gauges); Engine.Metrics() is its snapshot.  Nil gives the engine a
+	// private registry: counting is always on.  Share one registry between
+	// components (a server, a sender) to read them in one snapshot.
 	Obs *obs.Registry
 	// Tracer, when non-nil, records phase spans of the recovery pipeline
 	// for Chrome/Perfetto trace export and timeline rendering.
@@ -125,27 +125,15 @@ type Engine struct {
 
 // New builds an engine from options.
 func New(opts Options) (*Engine, error) {
-	if opts.Registry == nil {
-		opts.Registry = op.NewRegistry()
-	}
+	opts = opts.withDefaults()
 	if opts.LogDevice == nil {
 		opts.LogDevice = wal.NewMemDevice()
-	}
-	switch {
-	case opts.TransientRetries == 0:
-		opts.TransientRetries = defaultTransientRetries
-	case opts.TransientRetries < 0:
-		opts.TransientRetries = 0
 	}
 	log, err := wal.New(opts.LogDevice)
 	if err != nil {
 		return nil, err
 	}
-	log.SetRetryPolicy(opts.TransientRetries, 20*time.Microsecond, 500*time.Microsecond)
-	log.SetObs(opts.Obs)
-	log.SetFlight(opts.Flight)
-	log.SetStreams(opts.LogStreams, opts.AbsorbWrites)
-	e := &Engine{opts: opts, reg: opts.Registry, log: log, store: stable.NewStore()}
+	e := newEngine(opts, log, stable.NewStore())
 	e.mgr, err = cache.NewManager(e.cacheConfig(), log, e.store)
 	if err != nil {
 		return nil, err
@@ -161,8 +149,22 @@ func New(opts Options) (*Engine, error) {
 // recovery result is returned alongside the engine; the engine's history
 // starts empty (it never saw the operations execute).
 func Adopt(opts Options, log *wal.Log, store *stable.Store) (*Engine, *recovery.Result, error) {
+	e := newEngine(opts.withDefaults(), log, store)
+	res, err := recovery.Recover(log, store, e.recoveryOptions())
+	if err != nil {
+		return nil, nil, err
+	}
+	e.mgr = res.Manager
+	return e, res, nil
+}
+
+// withDefaults fills the options New and Adopt leave to the engine.
+func (opts Options) withDefaults() Options {
 	if opts.Registry == nil {
 		opts.Registry = op.NewRegistry()
+	}
+	if opts.Obs == nil {
+		opts.Obs = obs.NewRegistry()
 	}
 	switch {
 	case opts.TransientRetries == 0:
@@ -170,24 +172,29 @@ func Adopt(opts Options, log *wal.Log, store *stable.Store) (*Engine, *recovery.
 	case opts.TransientRetries < 0:
 		opts.TransientRetries = 0
 	}
+	return opts
+}
+
+// newEngine configures log and store per opts and wraps them, without a
+// cache manager.
+func newEngine(opts Options, log *wal.Log, store *stable.Store) *Engine {
 	log.SetRetryPolicy(opts.TransientRetries, 20*time.Microsecond, 500*time.Microsecond)
 	log.SetObs(opts.Obs)
 	log.SetFlight(opts.Flight)
 	log.SetStreams(opts.LogStreams, opts.AbsorbWrites)
-	e := &Engine{opts: opts, reg: opts.Registry, log: log, store: store}
-	res, err := recovery.Recover(log, store, recovery.Options{
-		Test:        opts.RedoTest,
+	store.SetObs(opts.Obs)
+	return &Engine{opts: opts, reg: opts.Registry, log: log, store: store}
+}
+
+func (e *Engine) recoveryOptions() recovery.Options {
+	return recovery.Options{
+		Test:        e.opts.RedoTest,
 		Cache:       e.cacheConfig(),
-		RedoWorkers: opts.RedoWorkers,
-		Tracer:      opts.Tracer,
-		Obs:         opts.Obs,
-		Flight:      opts.Flight,
-	})
-	if err != nil {
-		return nil, nil, err
+		RedoWorkers: e.opts.RedoWorkers,
+		Tracer:      e.opts.Tracer,
+		Obs:         e.opts.Obs,
+		Flight:      e.opts.Flight,
 	}
-	e.mgr = res.Manager
-	return e, res, nil
 }
 
 func (e *Engine) cacheConfig() cache.Config {
@@ -471,14 +478,7 @@ func (e *Engine) Recover() (*recovery.Result, error) {
 		e.gate.Abort()
 		e.gate = nil
 	}
-	res, err := recovery.Recover(e.log, e.store, recovery.Options{
-		Test:        e.opts.RedoTest,
-		Cache:       e.cacheConfig(),
-		RedoWorkers: e.opts.RedoWorkers,
-		Tracer:      e.opts.Tracer,
-		Obs:         e.opts.Obs,
-		Flight:      e.opts.Flight,
-	})
+	res, err := recovery.Recover(e.log, e.store, e.recoveryOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -501,14 +501,7 @@ func (e *Engine) RecoverOnDemand() (*recovery.OnDemand, error) {
 		e.gate.Abort()
 		e.gate = nil
 	}
-	od, err := recovery.StartOnDemand(e.log, e.store, recovery.Options{
-		Test:        e.opts.RedoTest,
-		Cache:       e.cacheConfig(),
-		RedoWorkers: e.opts.RedoWorkers,
-		Tracer:      e.opts.Tracer,
-		Obs:         e.opts.Obs,
-		Flight:      e.opts.Flight,
-	})
+	od, err := recovery.StartOnDemand(e.log, e.store, e.recoveryOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -531,33 +524,15 @@ func (e *Engine) RecoveryHorizon() (op.SI, error) {
 	return e.mgr.TruncationPoint(e.log.StableLSN() + 1), nil
 }
 
-// Stats bundles the engine's counters for reporting.
-type Stats struct {
-	Log   wal.Stats
-	Store stable.IOStats
-	Cache cache.Stats
-}
-
-// Stats returns a snapshot of all counters.  It is coherent: every engine
-// mutator holds e.mu, so the log, store, and cache counters are read at a
-// single quiescent point with no torn cross-source reads.
-func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return Stats{Log: e.log.Stats(), Store: e.store.Stats(), Cache: e.mgr.Stats()}
-}
-
-// Metrics returns the unified observability view: the obs registry's
-// counters, gauges, and histograms (empty when Options.Obs is nil) merged
-// with the legacy per-package Stats counters under stable dotted names
-// ("wal.forces", "cache.installs", "stable.object_writes", ...).  Like
-// Stats, the snapshot is taken under e.mu and therefore coherent.
+// Metrics returns the engine's counters, gauges, and histograms: the obs
+// registry's snapshot (see Options.Obs) plus the flight recorder's
+// counters.  The snapshot is taken under e.mu, and every engine mutator
+// holds e.mu, so the layers' counters are read at one quiescent point with
+// no torn cross-layer reads.
 func (e *Engine) Metrics() obs.Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := e.opts.Obs.Snapshot()
-	st := Stats{Log: e.log.Stats(), Store: e.store.Stats(), Cache: e.mgr.Stats()}
-	mergeStats(&s, st)
 	if e.opts.Flight != nil {
 		events, drops, spilled := e.opts.Flight.Counters()
 		s.Counters["flight.events"] = events
@@ -567,55 +542,11 @@ func (e *Engine) Metrics() obs.Snapshot {
 	return s
 }
 
-// mergeStats folds the legacy Stats counters into a metrics snapshot under
-// dotted names, so one view covers both metric sources.
-func mergeStats(s *obs.Snapshot, st Stats) {
-	c := s.Counters
-	c["wal.bytes_appended"] = st.Log.BytesAppended
-	c["wal.value_bytes"] = st.Log.ValueBytes
-	c["wal.forces"] = st.Log.Forces
-	c["wal.forces_coalesced"] = st.Log.ForcesCoalesced
-	c["wal.transient_retries"] = st.Log.TransientRetries
-	c["wal.truncations_clamped"] = st.Log.TruncationsClamped
-	c["wal.merges"] = st.Log.Merges
-	c["wal.absorbed"] = st.Log.Absorbed
-	c["wal.bytes_elided"] = st.Log.BytesElided
-	for t, n := range st.Log.Records {
-		c["wal.records."+t.String()] = n
-	}
-	for t, n := range st.Log.PayloadBytes {
-		c["wal.payload_bytes."+t.String()] = n
-	}
-	for k, n := range st.Log.OpPayloadBytes {
-		c["wal.op_payload_bytes."+k.String()] = n
-	}
-	c["stable.object_reads"] = st.Store.ObjectReads
-	c["stable.object_writes"] = st.Store.ObjectWrites
-	c["stable.object_write_bytes"] = st.Store.ObjectWriteBytes
-	c["stable.pointer_swings"] = st.Store.PointerSwings
-	c["stable.flushtxn_log_writes"] = st.Store.FlushTxnLogWrites
-	c["stable.flushtxn_log_bytes"] = st.Store.FlushTxnLogBytes
-	for m, n := range st.Store.Batches {
-		c["stable.batches."+m.String()] = n
-	}
-	c["cache.ops_executed"] = st.Cache.OpsExecuted
-	c["cache.installs"] = st.Cache.Installs
-	c["cache.identity_writes"] = st.Cache.IdentityWrites
-	c["cache.multi_object_flushes"] = st.Cache.MultiObjectFlushes
-	c["cache.objects_flushed"] = st.Cache.ObjectsFlushed
-	c["cache.installed_not_flushed"] = st.Cache.InstalledNotFlushed
-	c["cache.evictions"] = st.Cache.Evictions
-	c["cache.checkpoints"] = st.Cache.Checkpoints
-}
-
-// ResetStats zeroes every counter source — log, store, cache, and the obs
-// registry — atomically under the engine mutex, so benchmark phases start
-// from a consistent all-zero cut with no mutator racing the reset.
+// ResetStats zeroes the engine's registry under the engine mutex, so
+// benchmark phases start from a consistent all-zero cut with no mutator
+// racing the reset.
 func (e *Engine) ResetStats() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.log.ResetStats()
-	e.store.ResetStats()
-	e.mgr.ResetStats()
 	e.opts.Obs.Reset()
 }

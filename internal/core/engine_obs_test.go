@@ -8,7 +8,9 @@ import (
 
 	. "logicallog/internal/core"
 	"logicallog/internal/obs"
+	"logicallog/internal/obs/obstest"
 	"logicallog/internal/op"
+	"logicallog/internal/ship"
 )
 
 // obsEng builds an engine with a metrics registry (and optionally a tracer)
@@ -34,11 +36,11 @@ func TestMetricsUnifiesStatsAndRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := eng.Metrics()
-	if m.Counters["cache.ops_executed"] != 1 {
-		t.Errorf("cache.ops_executed = %d", m.Counters["cache.ops_executed"])
+	if n := obstest.Counter(t, m, "cache.ops_executed"); n != 1 {
+		t.Errorf("cache.ops_executed = %d", n)
 	}
-	if m.Counters["wal.bytes_appended"] == 0 || m.Counters["stable.object_writes"] == 0 {
-		t.Errorf("legacy counters missing from metrics view: %+v", m.Counters)
+	if obstest.Counter(t, m, "wal.bytes_appended") == 0 || obstest.Counter(t, m, "stable.object_writes") == 0 {
+		t.Errorf("layer counters missing from metrics view: %+v", m.Counters)
 	}
 	// The registry's hot-path histograms are in the same view.
 	if m.Histograms["wal.append.ns"].Count == 0 {
@@ -57,9 +59,12 @@ func TestResetStatsResetsEverySource(t *testing.T) {
 	if err := eng.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	before := eng.Stats()
-	if before.Log.BytesAppended == 0 || before.Store.ObjectWrites == 0 || before.Cache.OpsExecuted == 0 {
-		t.Fatalf("expected non-zero counters before reset: %+v", before)
+	layers := []string{"wal.bytes_appended", "stable.object_writes", "cache.ops_executed", "cache.installs"}
+	before := eng.Metrics()
+	for _, name := range layers {
+		if obstest.Counter(t, before, name) == 0 {
+			t.Fatalf("expected non-zero %s before reset", name)
+		}
 	}
 	if reg.Histogram("wal.append.ns").Snapshot().Count == 0 {
 		t.Fatal("expected obs observations before reset")
@@ -67,18 +72,166 @@ func TestResetStatsResetsEverySource(t *testing.T) {
 
 	eng.ResetStats()
 
-	after := eng.Stats()
-	if after.Log.BytesAppended != 0 || after.Log.Forces != 0 {
-		t.Errorf("log stats survived reset: %+v", after.Log)
-	}
-	if after.Store.ObjectWrites != 0 || after.Store.ObjectReads != 0 {
-		t.Errorf("store stats survived reset: %+v", after.Store)
-	}
-	if after.Cache.OpsExecuted != 0 || after.Cache.Installs != 0 || after.Cache.ObjectsFlushed != 0 {
-		t.Errorf("cache stats survived reset: %+v", after.Cache)
+	after := eng.Metrics()
+	for _, name := range append(layers, "wal.forces", "stable.object_reads", "cache.objects_flushed") {
+		if n := obstest.Counter(t, after, name); n != 0 {
+			t.Errorf("%s = %d survived reset", name, n)
+		}
 	}
 	if n := reg.Histogram("wal.append.ns").Snapshot().Count; n != 0 {
 		t.Errorf("obs histogram survived reset: count=%d", n)
+	}
+}
+
+// paritySequence drives one fixed history through an engine built from
+// opts, shipping it to a standby built from standbyObs: creates, logical
+// and physiological ops, an absorbed blind write, installs, a truncating
+// checkpoint, a crash with full recovery, a crash with on-demand recovery,
+// and the standby's promotion.  It returns the engine's and the standby's
+// metrics.
+func paritySequence(t *testing.T, opts Options, standbyObs *obs.Registry) (engine, standby obs.Snapshot) {
+	t.Helper()
+	opts.AbsorbWrites = true
+	opts.RedoWorkers = 2
+	eng, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sbOpts := opts
+	sbOpts.Obs = standbyObs
+	sb, err := ship.NewStandby(ship.StandbyConfig{Opts: sbOpts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sender := ship.NewSender(eng.Log(), ship.NewLink(sb, nil), 1, ship.SenderConfig{BatchRecords: 3})
+	defer sender.Close()
+	exec := func(ops ...*op.Operation) {
+		t.Helper()
+		for _, o := range ops {
+			if err := eng.Execute(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	step := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		exec(op.NewCreate(op.ObjectID(fmt.Sprintf("x%d", i)), []byte{byte(i), 1}))
+	}
+	step(eng.FlushAll())
+	exec(op.NewLogical(op.FuncXor, op.EncodeParams([]byte("x1"), []byte("x0")),
+		[]op.ObjectID{"x0", "x1"}, []op.ObjectID{"x1"}),
+		op.NewLogical(op.FuncCopy, []byte("x0"), []op.ObjectID{"x1"}, []op.ObjectID{"x0"}),
+		op.NewPhysioWrite("x2", op.FuncAppend, []byte{9}),
+		op.NewPhysicalWrite("x3", []byte("superseded")),
+		op.NewPhysicalWrite("x3", []byte("survivor")))
+	step(eng.Log().Force())
+	step(eng.InstallOne())
+	step(eng.Checkpoint())
+	exec(op.NewPhysioWrite("x4", op.FuncAppend, []byte{7}),
+		op.NewLogical(op.FuncCopy, []byte("x5"), []op.ObjectID{"x4"}, []op.ObjectID{"x5"}))
+	step(eng.Log().Force())
+	step(sender.Sync())
+	eng.Crash()
+	_, err = eng.Recover()
+	step(err)
+	exec(op.NewPhysioWrite("x0", op.FuncAppend, []byte{5}),
+		op.NewLogical(op.FuncCopy, []byte("x1"), []op.ObjectID{"x0"}, []op.ObjectID{"x1"}))
+	step(eng.Log().Force())
+	eng.Crash()
+	od, err := eng.RecoverOnDemand()
+	step(err)
+	if _, err := eng.Get("x1"); err != nil {
+		t.Fatal(err)
+	}
+	_, err = od.Wait()
+	step(err)
+	_, _, err = sb.Promote()
+	step(err)
+	return eng.Metrics(), sb.Metrics()
+}
+
+// TestMetricsParityNilAndAttachedRegistry holds the always-on rule: an
+// engine (and a standby) with no registry counts exactly what one with an
+// attached registry counts, under the names outside readers use.
+func TestMetricsParityNilAndAttachedRegistry(t *testing.T) {
+	nilEng, nilSb := paritySequence(t, DefaultOptions(), nil)
+	opts := DefaultOptions()
+	opts.Obs = obs.NewRegistry()
+	regEng, regSb := paritySequence(t, opts, obs.NewRegistry())
+
+	// Pinned names: perfbench, the llbench/v1 validator, DB.Stats, and
+	// llrun read these.
+	pinned := []string{"wal.bytes_appended", "wal.value_bytes", "wal.forces", "wal.records.op",
+		"wal.op_payload_bytes.L", "wal.absorb.hits", "wal.absorb.bytes_elided",
+		"cache.installs", "cache.identity_writes", "cache.ops_executed", "cache.installed_not_flushed",
+		"stable.object_reads", "stable.object_writes",
+		"recovery.decide.redo", "recovery.decide.skip_installed",
+		"recovery.decide.skip_unexposed", "recovery.decide.voided",
+		"recovery.ondemand.demand_chains", "recovery.ondemand.background_chains",
+		"recovery.ondemand.requires", "recovery.ondemand.demand_waits"}
+	for _, name := range pinned {
+		obstest.Counter(t, nilEng, name)
+		obstest.Counter(t, regEng, name)
+	}
+	for _, name := range []string{"wal.bytes_appended", "wal.forces", "wal.absorb.hits", "cache.installs",
+		"cache.ops_executed", "stable.object_reads", "recovery.decide.redo"} {
+		if obstest.Counter(t, regEng, name) == 0 {
+			t.Errorf("%s = 0: the sequence must exercise it", name)
+		}
+	}
+	for _, name := range []string{"ship.batches", "ship.applied_ops", "ship.skipped_installed",
+		"ship.skipped_unexposed", "ship.voided", "ship.dups", "ship.gaps",
+		"ship.installs_mirrored", "ship.promotions"} {
+		obstest.Counter(t, nilSb, name)
+		obstest.Counter(t, regSb, name)
+	}
+	if obstest.Counter(t, regSb, "ship.applied_ops") == 0 || obstest.Counter(t, regSb, "ship.promotions") != 1 {
+		t.Errorf("standby counters not exercised: %v", regSb.Counters)
+	}
+	if nilEng.Histograms["wal.append.ns"].Count == 0 {
+		t.Error("wal.append.ns histogram empty without an attached registry")
+	}
+
+	// On-demand redo splits chains between demand and background workers by
+	// timing; only their sum is fixed.
+	racy := map[string]bool{"recovery.ondemand.demand_chains": true,
+		"recovery.ondemand.background_chains": true, "recovery.ondemand.demand_waits": true,
+		"recovery.ondemand.demand_wait_ns": true}
+	sameCounts(t, "engine", nilEng, regEng, racy)
+	sameCounts(t, "standby", nilSb, regSb, racy)
+	chains := func(s obs.Snapshot) int64 {
+		return s.Counters["recovery.ondemand.demand_chains"] + s.Counters["recovery.ondemand.background_chains"]
+	}
+	if chains(nilEng) != chains(regEng) {
+		t.Errorf("on-demand chains: nil registry %d, attached %d", chains(nilEng), chains(regEng))
+	}
+}
+
+// sameCounts fails unless a and b hold the same counters and gauges with
+// the same values, and the same histograms with the same counts.
+func sameCounts(t *testing.T, what string, a, b obs.Snapshot, skip map[string]bool) {
+	t.Helper()
+	for _, pair := range [][2]map[string]int64{{a.Counters, b.Counters}, {a.Gauges, b.Gauges}} {
+		for _, dir := range [][2]map[string]int64{pair, {pair[1], pair[0]}} {
+			for name, v := range dir[0] {
+				if w, ok := dir[1][name]; !skip[name] && (!ok || v != w) {
+					t.Errorf("%s %s: %d vs %d (present %v)", what, name, v, w, ok)
+				}
+			}
+		}
+	}
+	for name, h := range a.Histograms {
+		if !skip[name] && b.Histograms[name].Count != h.Count {
+			t.Errorf("%s histogram %s: count %d vs %d", what, name, h.Count, b.Histograms[name].Count)
+		}
+	}
+	if len(a.Histograms) != len(b.Histograms) {
+		t.Errorf("%s: %d histograms vs %d", what, len(a.Histograms), len(b.Histograms))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"logicallog/internal/cache"
 	. "logicallog/internal/core"
+	"logicallog/internal/obs/obstest"
 	"logicallog/internal/op"
 	"logicallog/internal/recovery"
 	"logicallog/internal/writegraph"
@@ -100,13 +101,15 @@ func TestStatsAndReset(t *testing.T) {
 	if err := eng.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	st := eng.Stats()
-	if st.Log.BytesAppended == 0 || st.Store.ObjectWrites == 0 || st.Cache.Installs == 0 {
-		t.Errorf("Stats = %+v", st)
+	m := eng.Metrics()
+	for _, name := range []string{"wal.bytes_appended", "stable.object_writes", "cache.installs"} {
+		if obstest.Counter(t, m, name) == 0 {
+			t.Errorf("%s = 0 with no registry attached", name)
+		}
 	}
 	eng.ResetStats()
-	st = eng.Stats()
-	if st.Log.BytesAppended != 0 || st.Store.ObjectWrites != 0 {
+	m = eng.Metrics()
+	if obstest.Counter(t, m, "wal.bytes_appended") != 0 || obstest.Counter(t, m, "stable.object_writes") != 0 {
 		t.Error("ResetStats incomplete")
 	}
 }

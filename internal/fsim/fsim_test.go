@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"logicallog/internal/core"
+	"logicallog/internal/obs/obstest"
 	"logicallog/internal/op"
 )
 
@@ -113,12 +114,12 @@ func TestLogicalOpsLogOnlyIDs(t *testing.T) {
 	if err := fs.Sort("sorted", "big"); err != nil {
 		t.Fatal(err)
 	}
-	st := eng.Log().Stats()
-	if st.ValueBytes != 0 {
-		t.Errorf("logical copy/sort logged %d value bytes", st.ValueBytes)
+	st := eng.Metrics()
+	if obstest.Counter(t, st, "wal.value_bytes") != 0 {
+		t.Errorf("logical copy/sort logged %d value bytes", obstest.Counter(t, st, "wal.value_bytes"))
 	}
-	if st.TotalOpPayloadBytes() > 256 {
-		t.Errorf("logical copy/sort payload = %d bytes; want id-sized", st.TotalOpPayloadBytes())
+	if st.Sum("wal.op_payload_bytes.") > 256 {
+		t.Errorf("logical copy/sort payload = %d bytes; want id-sized", st.Sum("wal.op_payload_bytes."))
 	}
 	// The physiological versions log the whole file.
 	eng.ResetStats()
@@ -128,7 +129,7 @@ func TestLogicalOpsLogOnlyIDs(t *testing.T) {
 	if err := fs.SortPhysical("sorted2", "big"); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.Log().Stats().ValueBytes; got < int64(2*len(big)) {
+	if got := obstest.Counter(t, eng.Metrics(), "wal.value_bytes"); got < int64(2*len(big)) {
 		t.Errorf("physical copy/sort logged %d bytes, want >= %d", got, 2*len(big))
 	}
 	// Both paths produce identical contents.

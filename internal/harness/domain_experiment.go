@@ -47,6 +47,7 @@ func e13Run(opts core.Options, mixName, domain string) (logBytes, valueBytes, re
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
+	before := eng.Metrics()
 	var dom workload.Domain
 	switch domain {
 	case "btree":
@@ -84,8 +85,8 @@ func e13Run(opts core.Options, mixName, domain string) (logBytes, valueBytes, re
 	if err := eng.Log().Force(); err != nil {
 		return 0, 0, 0, 0, err
 	}
-	st := eng.Stats()
-	logBytes, valueBytes = st.Log.BytesAppended, st.Log.ValueBytes
+	after := eng.Metrics()
+	logBytes, valueBytes = delta(before, after, "wal.bytes_appended"), delta(before, after, "wal.value_bytes")
 
 	eng.Crash()
 	res, err := eng.Recover()

@@ -8,6 +8,7 @@ import (
 	"logicallog/internal/cache"
 	"logicallog/internal/core"
 	"logicallog/internal/fsim"
+	"logicallog/internal/obs"
 	"logicallog/internal/op"
 	"logicallog/internal/recovery"
 	"logicallog/internal/sim"
@@ -44,6 +45,18 @@ func newEngine(opts core.Options) (*core.Engine, error) {
 		opts.Obs = DefaultObs
 	}
 	return core.New(opts)
+}
+
+// delta returns how far counter name grew from before to after.  Harness
+// engines count into DefaultObs when it is installed, shared across an
+// experiment, so a per-engine figure is a difference, not an absolute read.
+func delta(before, after obs.Snapshot, name string) int64 {
+	return after.Counters[name] - before.Counters[name]
+}
+
+// opPayloadBytes is the operation payload logged so far, summed over kinds.
+func opPayloadBytes(eng *core.Engine) int64 {
+	return eng.Metrics().Sum("wal.op_payload_bytes.")
 }
 
 func logicalOpts() core.Options { return core.DefaultOptions() }
@@ -106,7 +119,7 @@ func e1Pair(opts core.Options, size int) (int64, error) {
 	if err := eng.Execute(b); err != nil {
 		return 0, err
 	}
-	return eng.Log().Stats().TotalOpPayloadBytes(), nil
+	return opPayloadBytes(eng), nil
 }
 
 // E2Recovery reproduces Figure 2 / Theorem 2: recovery recovers explainable
@@ -303,10 +316,9 @@ func E5FlushMechanisms() (*Table, error) {
 			if err := eng.FlushAll(); err != nil {
 				return nil, err
 			}
-			io := eng.Store().Stats()
-			lg := eng.Log().Stats()
-			t.AddRow(k, strat.String(), io.ObjectWrites, lg.ValueBytes,
-				io.FlushTxnLogWrites, io.PointerSwings)
+			c := eng.Metrics().Counters
+			t.AddRow(k, strat.String(), c["stable.object_writes"], c["wal.value_bytes"],
+				c["stable.flushtxn_log_writes"], c["stable.pointer_swings"])
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -464,7 +476,7 @@ func e7Run(opts core.Options, bufSize int, physicalWrites bool) (int64, error) {
 			return 0, err
 		}
 	}
-	return eng.Log().Stats().TotalOpPayloadBytes(), nil
+	return opPayloadBytes(eng), nil
 }
 
 // E8FileOps reproduces the file-system example: copy and sort logged
@@ -521,7 +533,7 @@ func e8Run(size int, physical bool) (int64, error) {
 			return 0, err
 		}
 	}
-	return eng.Log().Stats().TotalOpPayloadBytes(), nil
+	return opPayloadBytes(eng), nil
 }
 
 // E9BtreeSplit reproduces the database example: logical page splits avoid
@@ -582,7 +594,7 @@ func e9Run(opts core.Options, valSize int) (int64, int, int, error) {
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	logged := eng.Log().Stats().TotalOpPayloadBytes()
+	logged := opPayloadBytes(eng)
 	// Crash and recover, then read the tree back through the leaf chain:
 	// a full Scan must visit every key in order, and a bounded Range must
 	// stop at its half-open upper bound.
@@ -754,6 +766,7 @@ func A2PolicyAblation() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		before := eng.Metrics()
 		gen, err := workload.NewGenerator(workload.DefaultSpec(111))
 		if err != nil {
 			return nil, err
@@ -771,8 +784,9 @@ func A2PolicyAblation() (*Table, error) {
 		if err := eng.FlushAll(); err != nil {
 			return nil, err
 		}
-		st := eng.Cache().Stats()
-		t.AddRow(policy.String(), st.Installs, st.ObjectsFlushed, st.InstalledNotFlushed, st.MultiObjectFlushes)
+		after := eng.Metrics()
+		t.AddRow(policy.String(), delta(before, after, "cache.installs"), delta(before, after, "cache.objects_flushed"),
+			delta(before, after, "cache.installed_not_flushed"), delta(before, after, "cache.multi_object_flushes"))
 	}
 	t.Notes = append(t.Notes, "rW installs operations without flushing unexposed objects; W must flush every written object")
 	return t, nil

@@ -36,6 +36,7 @@ func E11ShipLag() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		before := sb.Metrics()
 		s := ship.NewSender(eng.Log(), ship.NewLink(sb, nil), 1, ship.SenderConfig{
 			BatchRecords: batch,
 			Obs:          DefaultObs,
@@ -84,7 +85,7 @@ func E11ShipLag() (*Table, error) {
 			s.Close()
 			return nil, err
 		}
-		st := sb.Stats()
+		after := sb.Metrics()
 		eng.Crash()
 		start := time.Now()
 		_, res, err := sb.Promote()
@@ -93,7 +94,7 @@ func E11ShipLag() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(batch, st.Batches, st.Applied, peakLag, res.Redone,
+		t.AddRow(batch, delta(before, after, "ship.batches"), delta(before, after, "ship.applied_ops"), peakLag, res.Redone,
 			failover.Microseconds())
 	}
 	t.Notes = append(t.Notes,

@@ -18,11 +18,9 @@ import (
 //  1. core.Engine.mu          — engine mutex facade
 //  2. cache.Manager.wgMu      — write-graph guard
 //  3. cache.tableShard.mu     — cache stripe locks
-//  4. cache.Manager.statsMu   — cache counters
-//  5. stable.Store.batchMu    — stable batch serialization
-//  6. stable.storeShard.mu    — stable stripe locks
-//  7. stable.Store.statsMu    — stable counters
-//  8. wal.Log.mu              — log mutex
+//  4. stable.Store.batchMu    — stable batch serialization
+//  5. stable.storeShard.mu    — stable stripe locks
+//  6. wal.Log.mu              — log mutex
 //
 // The check is intraprocedural and statement-ordered: it sees acquisitions
 // nested within one function body, which is where ordering bugs between the
@@ -51,11 +49,9 @@ var lockRanks = []lockClass{
 	{"Engine", "mu", 1, "core.Engine.mu (engine mutex facade)"},
 	{"Manager", "wgMu", 2, "cache.Manager.wgMu"},
 	{"tableShard", "mu", 3, "cache.tableShard.mu (cache stripe)"},
-	{"Manager", "statsMu", 4, "cache.Manager.statsMu"},
-	{"Store", "batchMu", 5, "stable.Store.batchMu"},
-	{"storeShard", "mu", 6, "stable.storeShard.mu (stable stripe)"},
-	{"Store", "statsMu", 7, "stable.Store.statsMu"},
-	{"Log", "mu", 8, "wal.Log.mu"},
+	{"Store", "batchMu", 4, "stable.Store.batchMu"},
+	{"storeShard", "mu", 5, "stable.storeShard.mu (stable stripe)"},
+	{"Log", "mu", 6, "wal.Log.mu"},
 }
 
 func classOf(typeName, fieldName string) *lockClass {

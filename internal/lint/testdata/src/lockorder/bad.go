@@ -1,6 +1,6 @@
 package lockorder
 
-// BackwardOrder takes the log mutex before the engine facade: rank 8 is
+// BackwardOrder takes the log mutex before the engine facade: rank 6 is
 // held while rank 1 is acquired.
 func BackwardOrder(l *Log, e *Engine) {
 	l.mu.Lock()

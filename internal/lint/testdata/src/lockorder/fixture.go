@@ -7,8 +7,7 @@ import "sync"
 type Engine struct{ mu sync.Mutex }
 
 type Manager struct {
-	wgMu    sync.Mutex
-	statsMu sync.Mutex
+	wgMu sync.Mutex
 }
 
 type tableShard struct{ mu sync.RWMutex }

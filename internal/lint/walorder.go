@@ -37,7 +37,7 @@ var WalOrder = &Analyzer{
 		"across core, cache, recovery, ship, and wal",
 	Match: matchSuffix(
 		"internal/core", "internal/cache", "internal/recovery",
-		"internal/ship", "internal/wal", "internal/baseline",
+		"internal/ship", "internal/wal",
 	),
 	Run: runWalOrder,
 }

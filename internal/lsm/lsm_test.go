@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"logicallog/internal/core"
+	"logicallog/internal/obs/obstest"
 	"logicallog/internal/op"
 )
 
@@ -208,14 +209,14 @@ func TestLogicalFlushLogsNoTableContents(t *testing.T) {
 	if err := l.Compact(); err != nil { // 1 table: no-op, still cheap
 		t.Fatal(err)
 	}
-	st := eng.Log().Stats()
+	st := eng.Metrics()
 	// The flush moved ~16 KiB of entries into the new table but logged only
 	// three object ids.
-	if st.ValueBytes > 512 {
-		t.Errorf("flush logged %d value bytes; logical flush must not log table contents", st.ValueBytes)
+	if obstest.Counter(t, st, "wal.value_bytes") > 512 {
+		t.Errorf("flush logged %d value bytes; logical flush must not log table contents", obstest.Counter(t, st, "wal.value_bytes"))
 	}
-	if st.OpPayloadBytes[op.KindLogical] > 256 {
-		t.Errorf("flush payload = %d bytes", st.OpPayloadBytes[op.KindLogical])
+	if obstest.Counter(t, st, "wal.op_payload_bytes.L") > 256 {
+		t.Errorf("flush payload = %d bytes", obstest.Counter(t, st, "wal.op_payload_bytes.L"))
 	}
 }
 
@@ -241,7 +242,7 @@ func TestPhysiologicalBaselineLogsTableContents(t *testing.T) {
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.Log().Stats().ValueBytes; got < 16*1024 {
+	if got := obstest.Counter(t, eng.Metrics(), "wal.value_bytes"); got < 16*1024 {
 		t.Errorf("physiological flush logged only %d value bytes", got)
 	}
 }

@@ -10,14 +10,17 @@
 // so the disabled cost is ~0 and there is no build-tag or global flag to
 // thread through the system.
 //
-// The packages beneath the engine (wal, cache, recovery, stable) accept obs
-// handles through their existing option structs; internal/core unifies the
-// registry view with the legacy per-package Stats counters behind
-// Engine.Metrics().
+// The registry is the system's only counter store.  The packages beneath
+// the engine (wal, stable, cache, recovery, ship) resolve their handles from
+// the registry they are given and count nowhere else; internal/core always
+// hands them one (Options.Obs, or an engine-private registry), so
+// Engine.Metrics() is the registry's snapshot.  A layer used on its own
+// without a registry counts nothing.
 package obs
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -144,16 +147,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// SetCounter force-sets a named counter to v (used when absorbing external
-// counter sources into a snapshot registry).
-func (r *Registry) SetCounter(name string, v int64) {
-	if r == nil {
-		return
-	}
-	c := r.Counter(name)
-	c.v.Store(v)
-}
-
 // Snapshot is a point-in-time copy of a registry's metrics, suitable for
 // JSON encoding.  Maps are keyed by metric name.
 type Snapshot struct {
@@ -164,7 +157,7 @@ type Snapshot struct {
 
 // Snapshot copies every metric's current value.  Each individual metric is
 // read atomically; the snapshot as a whole is not a cross-metric atomic cut
-// (callers needing one, like Engine.Stats, serialize mutators externally).
+// (callers needing one, like Engine.Metrics, serialize mutators externally).
 // A nil registry yields an empty snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
@@ -187,6 +180,18 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.Snapshot()
 	}
 	return s
+}
+
+// Sum totals the counters whose names start with prefix (a counter family
+// such as "wal.op_payload_bytes.").
+func (s Snapshot) Sum(prefix string) int64 {
+	var t int64
+	for name, v := range s.Counters {
+		if strings.HasPrefix(name, prefix) {
+			t += v
+		}
+	}
+	return t
 }
 
 // Reset zeroes every registered metric (the handles stay valid).  Safe on a

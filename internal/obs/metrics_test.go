@@ -48,7 +48,6 @@ func TestNilRegistryAndHandles(t *testing.T) {
 	if h.Enabled() {
 		t.Error("nil histogram must report disabled")
 	}
-	r.SetCounter("x", 1)
 	r.Reset()
 	if names := r.Names(); names != nil {
 		t.Errorf("nil registry Names = %v", names)
@@ -112,16 +111,21 @@ func TestRegistryReset(t *testing.T) {
 	}
 }
 
-func TestSetCounterAndSnapshot(t *testing.T) {
+func TestSnapshotSumAndNames(t *testing.T) {
 	r := NewRegistry()
-	r.SetCounter("absorbed", 123)
+	r.Counter("bytes.op").Add(100)
+	r.Counter("bytes.install").Add(23)
+	r.Counter("bytesx").Add(1000)
 	r.Gauge("gg").Set(-5)
 	r.Histogram("hh").Observe(3)
 	s := r.Snapshot()
-	if s.Counters["absorbed"] != 123 || s.Gauges["gg"] != -5 || s.Histograms["hh"].Count != 1 {
+	if s.Counters["bytes.op"] != 100 || s.Gauges["gg"] != -5 || s.Histograms["hh"].Count != 1 {
 		t.Errorf("snapshot = %+v", s)
 	}
-	want := []string{"counter:absorbed", "gauge:gg", "histogram:hh"}
+	if got := s.Sum("bytes."); got != 123 {
+		t.Errorf("Sum(bytes.) = %d, want 123", got)
+	}
+	want := []string{"counter:bytes.install", "counter:bytes.op", "counter:bytesx", "gauge:gg", "histogram:hh"}
 	if got := r.Names(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Names = %v, want %v", got, want)
 	}

@@ -93,6 +93,9 @@ var kindNames = [...]string{
 	KindCreate:        "Cr",
 }
 
+// NumKinds bounds the Kind values: every valid kind is below it.
+const NumKinds = len(kindNames)
+
 // String returns the paper's notation for the kind.
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {

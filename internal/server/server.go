@@ -36,7 +36,8 @@ type Config struct {
 	// MaxInFlight bounds admitted operations (the admission channel's
 	// capacity, biscuit Op_begin style).  0 means defaultMaxInFlight.
 	MaxInFlight int
-	// Obs receives the server.* metrics family; nil disables.
+	// Obs receives the server.* metrics family, which Stats requests
+	// report; nil gives the server a private registry.
 	Obs *obs.Registry
 	// Drain, when non-nil, is the on-demand redo scheduler still draining
 	// beneath the backend; Stats reports its chain-state table so clients
@@ -97,6 +98,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxInFlight < 1 {
 		return nil, fmt.Errorf("server: MaxInFlight %d < 1", cfg.MaxInFlight)
+	}
+	if cfg.Obs == nil {
+		cfg.Obs = obs.NewRegistry()
 	}
 	return &Server{
 		cfg:       cfg,

@@ -100,6 +100,37 @@ func TestServerBasicOps(t *testing.T) {
 	}
 }
 
+// TestServerStatsWithoutRegistry: a server built with no Config.Obs still
+// counts its traffic (into a private registry) and reports it to Stats.
+func TestServerStatsWithoutRegistry(t *testing.T) {
+	eng, err := core.New(core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cl, _ := startServer(t, Config{Backend: NewKV(eng)})
+	for i := 0; i < 5; i++ {
+		if err := cl.Put([]byte{'k', byte('0' + i)}, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A response is counted after its reply is written, so the client can
+	// see the fifth reply before the server counts it: poll.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		stats, err := cl.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats["requests"] >= 5 && stats["responses"] >= 5 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stats = requests:%d responses:%d, want at least 5 each", stats["requests"], stats["responses"])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestServerMixWorkloads drives every named scenario mix through the wire
 // against each backend — the same differential model check the local
 // domains get, now spanning protocol encode/decode and the pipelined demux.

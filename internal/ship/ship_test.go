@@ -10,6 +10,7 @@ import (
 	"logicallog/internal/core"
 	"logicallog/internal/fault"
 	"logicallog/internal/obs"
+	"logicallog/internal/obs/obstest"
 	"logicallog/internal/op"
 	"logicallog/internal/ship"
 	"logicallog/internal/sim"
@@ -245,12 +246,12 @@ func TestShipBootstrapFromBackup(t *testing.T) {
 					}
 				}
 			})
-			st := sb.Stats()
+			st := sb.Metrics().Counters
 			promoted := finishAndPromote(t, eng, s, sb)
 			_ = promoted
-			if cfg.Opts.LogInstalls && st.SkippedInstalled == 0 && st.SkippedUnexposed == 0 && st.Dups == 0 {
+			if cfg.Opts.LogInstalls && st["ship.skipped_installed"] == 0 && st["ship.skipped_unexposed"] == 0 && st["ship.dups"] == 0 {
 				// Not fatal — just record that the witness path went unused.
-				t.Logf("bootstrap applied everything (no witness skips): %+v", st)
+				t.Logf("bootstrap applied everything (no witness skips): %v", st)
 			}
 		})
 	}
@@ -447,7 +448,7 @@ func TestShipRetentionProtectsLaggingStandby(t *testing.T) {
 	if first := eng.Log().FirstLSN(); first > 1 {
 		t.Fatalf("truncation advanced to %d past the standby's horizon 1", first)
 	}
-	if clamped := eng.Stats().Log.TruncationsClamped; clamped == 0 {
+	if clamped := obstest.Counter(t, eng.Metrics(), "wal.truncations_clamped"); clamped == 0 {
 		t.Fatal("checkpoints never clamped truncation; retention hook unused")
 	}
 
@@ -483,7 +484,7 @@ func TestShipRetentionProtectsLaggingStandby(t *testing.T) {
 
 // TestShipMetrics checks the replication pipeline is visible end to end:
 // sender lag gauges and batch counters, standby apply/promotion metrics, and
-// their presence in the promoted engine's merged Metrics() snapshot.
+// their presence in the promoted engine's Metrics() snapshot.
 func TestShipMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer()

@@ -23,7 +23,8 @@ type StandbyConfig struct {
 	// Opts is the engine configuration the standby mirrors and, at
 	// promotion, comes up as.  It must match the primary's policy, strategy,
 	// and REDO test; Registry must resolve every shipped operation kind.
-	// Obs/Tracer instrument the apply pipeline and the promoted engine.
+	// Obs/Tracer instrument the apply pipeline and the promoted engine;
+	// like an engine, a standby with no Obs counts into a private registry.
 	Opts core.Options
 	// TruncateOnCheckpoint makes the standby truncate its own log at each
 	// shipped checkpoint's redo horizon, as the primary did.  Off, the
@@ -34,27 +35,6 @@ type StandbyConfig struct {
 	// every mirrored install/flush record (the ship explorer's Theorem 3
 	// recorder).
 	InstallTrace func(lsns []op.SI)
-}
-
-// StandbyStats counts what the standby did with the stream.
-type StandbyStats struct {
-	// Batches counts delivered batches (probes included).
-	Batches int64
-	// Applied counts operation records replayed.
-	Applied int64
-	// SkippedInstalled counts operations bypassed by a vSI witness
-	// (bootstrap image already reflected them).
-	SkippedInstalled int64
-	// SkippedUnexposed counts operations bypassed by rSI reasoning.
-	SkippedUnexposed int64
-	// Voided counts trial executions voided.
-	Voided int64
-	// Dups counts records discarded as already applied.
-	Dups int64
-	// Gaps counts deliveries that stopped short at a missing LSN.
-	Gaps int64
-	// Installs counts mirrored install/flush records.
-	Installs int64
 }
 
 // Standby is the receiving side of log shipping: a warm replica that applies
@@ -74,16 +54,24 @@ type Standby struct {
 	applied  op.SI // highest LSN applied
 	down     bool  // crashed, awaiting Restart
 	promoted bool
-	stats    StandbyStats
 
 	lane        *obs.Lane
 	applyNs     *obs.Histogram
 	promotionNs *obs.Histogram
-	appliedC    *obs.Counter
-	dupsC       *obs.Counter
-	gapsC       *obs.Counter
-	installsC   *obs.Counter
-	promotionsC *obs.Counter
+	// batchesC counts delivered batches (probes included); appliedC,
+	// skippedInstalledC, skippedUnexposedC, and voidedC count operation
+	// records by redo decision; dupsC counts records discarded as already
+	// applied, gapsC deliveries that stopped short at a missing LSN, and
+	// installsC mirrored install/flush records.
+	batchesC          *obs.Counter
+	appliedC          *obs.Counter
+	skippedInstalledC *obs.Counter
+	skippedUnexposedC *obs.Counter
+	voidedC           *obs.Counter
+	dupsC             *obs.Counter
+	gapsC             *obs.Counter
+	installsC         *obs.Counter
+	promotionsC       *obs.Counter
 }
 
 // NewStandby builds an empty standby that expects the stream from LSN 1.
@@ -117,6 +105,9 @@ func newStandby(cfg StandbyConfig, origin op.SI, image map[op.ObjectID]stable.Ve
 	if cfg.Opts.LogDevice == nil {
 		cfg.Opts.LogDevice = wal.NewMemDevice()
 	}
+	if cfg.Opts.Obs == nil {
+		cfg.Opts.Obs = obs.NewRegistry()
+	}
 	switch {
 	case cfg.Opts.TransientRetries == 0:
 		cfg.Opts.TransientRetries = 3
@@ -137,6 +128,7 @@ func newStandby(cfg StandbyConfig, origin op.SI, image map[op.ObjectID]stable.Ve
 		applied: origin - 1,
 	}
 	s.tuneLog()
+	s.store.SetObs(cfg.Opts.Obs)
 	if image != nil {
 		s.store.Restore(image)
 	}
@@ -147,7 +139,11 @@ func newStandby(cfg StandbyConfig, origin op.SI, image map[op.ObjectID]stable.Ve
 	r := cfg.Opts.Obs
 	s.applyNs = r.Histogram("ship.apply.ns")
 	s.promotionNs = r.Histogram("ship.promotion.ns")
+	s.batchesC = r.Counter("ship.batches")
 	s.appliedC = r.Counter("ship.applied_ops")
+	s.skippedInstalledC = r.Counter("ship.skipped_installed")
+	s.skippedUnexposedC = r.Counter("ship.skipped_unexposed")
+	s.voidedC = r.Counter("ship.voided")
 	s.dupsC = r.Counter("ship.dups")
 	s.gapsC = r.Counter("ship.gaps")
 	s.installsC = r.Counter("ship.installs_mirrored")
@@ -200,11 +196,12 @@ func (s *Standby) Applied() op.SI {
 	return s.applied
 }
 
-// Stats returns a snapshot of the standby's counters.
-func (s *Standby) Stats() StandbyStats {
+// Metrics returns a snapshot of the standby's registry (Opts.Obs): its
+// ship.* apply counters and its log, store, and cache counters.
+func (s *Standby) Metrics() obs.Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats
+	return s.cfg.Opts.Obs.Snapshot()
 }
 
 // Deliver applies one batch: records below the apply horizon are discarded
@@ -224,7 +221,7 @@ func (s *Standby) Deliver(b *Batch) (Ack, error) {
 	sp := s.lane.Begin("apply-batch").
 		Arg("seq", int64(b.Seq)).Arg("count", b.Count).Arg("first", int64(b.FirstLSN))
 	defer sp.End()
-	s.stats.Batches++
+	s.batchesC.Inc()
 	data := b.Frames
 	for len(data) > 0 {
 		payload, n, err := wal.Unframe(data)
@@ -237,13 +234,11 @@ func (s *Standby) Deliver(b *Batch) (Ack, error) {
 		}
 		data = data[n:]
 		if rec.LSN < s.want {
-			s.stats.Dups++
 			s.dupsC.Inc()
 			s.flight().ShipApply(flight.DecDup, rec.LSN, s.want)
 			continue
 		}
 		if rec.LSN > s.want {
-			s.stats.Gaps++
 			s.gapsC.Inc()
 			s.flight().ShipApply(flight.DecGap, rec.LSN, s.want)
 			break
@@ -284,10 +279,10 @@ func (s *Standby) applyLocked(rec *wal.Record) error {
 		ex := recovery.DecideRedoExplain(test, s.mgr, s.dot, rec.Op)
 		if !ex.Redo {
 			if ex.InstalledWitness {
-				s.stats.SkippedInstalled++
+				s.skippedInstalledC.Inc()
 				s.flight().RedoDecision("standby", rec.LSN, flight.DecSkipInstalled, ex.WitnessObject, ex.WitnessVSI)
 			} else {
-				s.stats.SkippedUnexposed++
+				s.skippedUnexposedC.Inc()
 				s.flight().RedoDecision("standby", rec.LSN, flight.DecSkipUnexposed, "", op.NilSI)
 			}
 			break
@@ -297,10 +292,9 @@ func (s *Standby) applyLocked(rec *wal.Record) error {
 			return fmt.Errorf("ship: apply of %s: %w", rec.Op, err)
 		}
 		if voided {
-			s.stats.Voided++
+			s.voidedC.Inc()
 			s.flight().RedoDecision("standby", rec.LSN, flight.DecVoided, ex.DirtyObject, ex.DirtyRSI)
 		} else {
-			s.stats.Applied++
 			s.appliedC.Inc()
 			s.flight().RedoDecision("standby", rec.LSN, flight.DecRedo, ex.DirtyObject, ex.DirtyRSI)
 		}
@@ -341,7 +335,6 @@ func (s *Standby) applyLocked(rec *wal.Record) error {
 }
 
 func (s *Standby) noteInstall(lsns []op.SI) {
-	s.stats.Installs++
 	s.installsC.Inc()
 	if s.cfg.InstallTrace != nil {
 		s.cfg.InstallTrace(lsns)

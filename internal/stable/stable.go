@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"logicallog/internal/obs"
 	"logicallog/internal/op"
 	"logicallog/internal/ordset"
 )
@@ -87,26 +88,29 @@ type Versioned struct {
 	VSI op.SI
 }
 
-// IOStats counts simulated I/O.  All byte counts are value bytes (the
-// simulator has no sector geometry).
-type IOStats struct {
-	// ObjectReads counts object fetches.
-	ObjectReads int64
-	// ObjectWrites counts in-place or shadow object writes (each entry of
+// numBatchModes bounds the BatchMode values.
+const numBatchModes = int(ModeUnsafe) + 1
+
+// storeObs holds the store's I/O counters (see SetObs); all nil, and hence
+// no-ops, when no registry is attached.  All byte counts are value bytes
+// (the simulator has no sector geometry).
+type storeObs struct {
+	// objectReads counts object fetches.
+	objectReads *obs.Counter
+	// objectWrites counts in-place or shadow object writes (each entry of
 	// a batch counts once; a flush transaction's in-place phase counts
-	// again because the mechanism really writes the data twice).
-	ObjectWrites int64
-	// ObjectWriteBytes totals bytes across ObjectWrites.
-	ObjectWriteBytes int64
-	// PointerSwings counts shadow-mechanism atomic installs.
-	PointerSwings int64
-	// FlushTxnLogWrites counts flush-transaction log appends (one per
-	// value plus one commit per batch).
-	FlushTxnLogWrites int64
-	// FlushTxnLogBytes totals flush-transaction log bytes.
-	FlushTxnLogBytes int64
-	// Batches counts batch operations by mode.
-	Batches map[BatchMode]int64
+	// again because the mechanism really writes the data twice), and
+	// objectWriteBytes totals their bytes.
+	objectWrites     *obs.Counter
+	objectWriteBytes *obs.Counter
+	// pointerSwings counts shadow-mechanism atomic installs.
+	pointerSwings *obs.Counter
+	// flushTxnLogWrites counts flush-transaction log appends (one per
+	// value plus one commit per batch), and flushTxnLogBytes their bytes.
+	flushTxnLogWrites *obs.Counter
+	flushTxnLogBytes  *obs.Counter
+	// batches counts batch operations by mode.
+	batches [numBatchModes]*obs.Counter
 }
 
 // ErrNotFound is returned by Read for absent objects.
@@ -142,18 +146,9 @@ type Store struct {
 	idsMu sync.RWMutex
 	ids   *ordset.Set[op.ObjectID]
 
-	// Hot I/O counters, updated atomically (reads happen outside any
-	// global lock).
-	objectReads       atomic.Int64
-	objectWrites      atomic.Int64
-	objectWriteBytes  atomic.Int64
-	pointerSwings     atomic.Int64
-	flushTxnLogWrites atomic.Int64
-	flushTxnLogBytes  atomic.Int64
-
-	// batches is only touched under batchMu (plus Stats's snapshot).
-	statsMu sync.Mutex
-	batches map[BatchMode]int64
+	// obs counts I/O; its handles update atomically, so reads count
+	// outside any global lock.
+	obs storeObs
 
 	// readDelayNS, when > 0, adds that much simulated device latency to
 	// every Read — the disk-resident-store regime parallel redo overlaps.
@@ -173,10 +168,7 @@ type Store struct {
 
 // NewStore returns an empty stable store.
 func NewStore() *Store {
-	s := &Store{
-		batches: make(map[BatchMode]int64),
-		ids:     &ordset.Set[op.ObjectID]{},
-	}
+	s := &Store{ids: &ordset.Set[op.ObjectID]{}}
 	for i := range s.shards {
 		s.shards[i].objects = make(map[op.ObjectID]Versioned)
 	}
@@ -185,6 +177,23 @@ func NewStore() *Store {
 
 func (s *Store) shard(x op.ObjectID) *storeShard {
 	return &s.shards[maphash.String(shardSeed, string(x))&(storeShards-1)]
+}
+
+// SetObs makes the store count its I/O into r, under the stable.* names;
+// nil detaches it.  Call it before the store is shared: the handles are
+// read without synchronization.
+func (s *Store) SetObs(r *obs.Registry) {
+	s.obs = storeObs{
+		objectReads:       r.Counter("stable.object_reads"),
+		objectWrites:      r.Counter("stable.object_writes"),
+		objectWriteBytes:  r.Counter("stable.object_write_bytes"),
+		pointerSwings:     r.Counter("stable.pointer_swings"),
+		flushTxnLogWrites: r.Counter("stable.flushtxn_log_writes"),
+		flushTxnLogBytes:  r.Counter("stable.flushtxn_log_bytes"),
+	}
+	for m := ModeSingle; int(m) < numBatchModes; m++ {
+		s.obs.batches[m] = r.Counter("stable.batches." + m.String())
+	}
 }
 
 // SetReadDelay models per-read device latency (a disk-backed store) for
@@ -209,7 +218,7 @@ func (s *Store) Read(x op.ObjectID) (Versioned, error) {
 	if !ok {
 		return Versioned{}, fmt.Errorf("%w: %q", ErrNotFound, x)
 	}
-	s.objectReads.Add(1)
+	s.obs.objectReads.Add(1)
 	return Versioned{Val: val, VSI: v.VSI}, nil
 }
 
@@ -297,9 +306,9 @@ func (s *Store) WriteBatch(entries []Entry, mode BatchMode) error {
 	if mode == ModeSingle && len(entries) != 1 {
 		return fmt.Errorf("stable: ModeSingle batch has %d entries", len(entries))
 	}
-	s.statsMu.Lock()
-	s.batches[mode]++
-	s.statsMu.Unlock()
+	if int(mode) < numBatchModes {
+		s.obs.batches[mode].Inc()
+	}
 	switch mode {
 	case ModeSingle:
 		if err := s.probeErr(); err != nil {
@@ -325,16 +334,16 @@ func (s *Store) WriteBatch(entries []Entry, mode BatchMode) error {
 				// Old state intact: the swing never happened.
 				return fmt.Errorf("stable: shadow write %d: %w", i, err)
 			}
-			s.objectWrites.Add(1)
+			s.obs.objectWrites.Add(1)
 			if !e.Delete {
-				s.objectWriteBytes.Add(int64(len(e.Val)))
+				s.obs.objectWriteBytes.Add(int64(len(e.Val)))
 			}
 		}
 		// Phase 2: atomic pointer swing installs every entry at once.
 		if err := s.probeErr(); err != nil {
 			return fmt.Errorf("stable: shadow swing: %w", err)
 		}
-		s.pointerSwings.Add(1)
+		s.obs.pointerSwings.Add(1)
 		for _, e := range entries {
 			s.installEntry(e)
 		}
@@ -347,13 +356,13 @@ func (s *Store) WriteBatch(entries []Entry, mode BatchMode) error {
 				// Before commit: old state intact.
 				return fmt.Errorf("stable: flush-txn log write %d: %w", i, err)
 			}
-			s.flushTxnLogWrites.Add(1)
+			s.obs.flushTxnLogWrites.Add(1)
 			if !e.Delete {
-				s.flushTxnLogBytes.Add(int64(len(e.Val)))
+				s.obs.flushTxnLogBytes.Add(int64(len(e.Val)))
 			}
 		}
 		// Commit record (forced).
-		s.flushTxnLogWrites.Add(1)
+		s.obs.flushTxnLogWrites.Add(1)
 		s.pending = cloneEntries(entries)
 		// Phase 2: in-place writes; a crash here leaves pending set, and
 		// RecoverPending finishes the job (idempotently).
@@ -371,9 +380,9 @@ func (s *Store) WriteBatch(entries []Entry, mode BatchMode) error {
 
 // applyEntry performs and costs one in-place object write.
 func (s *Store) applyEntry(e Entry) {
-	s.objectWrites.Add(1)
+	s.obs.objectWrites.Add(1)
 	if !e.Delete {
-		s.objectWriteBytes.Add(int64(len(e.Val)))
+		s.obs.objectWriteBytes.Add(int64(len(e.Val)))
 	}
 	s.installEntry(e)
 }
@@ -424,38 +433,6 @@ func (s *Store) RecoverPending() int {
 	}
 	s.pending = nil
 	return n
-}
-
-// Stats returns a snapshot of the I/O statistics.
-func (s *Store) Stats() IOStats {
-	st := IOStats{
-		ObjectReads:       s.objectReads.Load(),
-		ObjectWrites:      s.objectWrites.Load(),
-		ObjectWriteBytes:  s.objectWriteBytes.Load(),
-		PointerSwings:     s.pointerSwings.Load(),
-		FlushTxnLogWrites: s.flushTxnLogWrites.Load(),
-		FlushTxnLogBytes:  s.flushTxnLogBytes.Load(),
-		Batches:           make(map[BatchMode]int64),
-	}
-	s.statsMu.Lock()
-	for k, v := range s.batches {
-		st.Batches[k] = v
-	}
-	s.statsMu.Unlock()
-	return st
-}
-
-// ResetStats zeroes the I/O statistics.
-func (s *Store) ResetStats() {
-	s.objectReads.Store(0)
-	s.objectWrites.Store(0)
-	s.objectWriteBytes.Store(0)
-	s.pointerSwings.Store(0)
-	s.flushTxnLogWrites.Store(0)
-	s.flushTxnLogBytes.Store(0)
-	s.statsMu.Lock()
-	s.batches = make(map[BatchMode]int64)
-	s.statsMu.Unlock()
 }
 
 // Snapshot returns a deep copy of the stored state (test oracle use).

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"logicallog/internal/fault"
+	"logicallog/internal/obs"
+	"logicallog/internal/obs/obstest"
 	"logicallog/internal/op"
 )
 
@@ -90,7 +92,7 @@ func TestShadowAtomicity(t *testing.T) {
 	s := NewStore()
 	mustWrite(t, s, []Entry{{ID: "X", Val: []byte("old"), VSI: 1}}, ModeSingle)
 	mustWrite(t, s, []Entry{{ID: "Y", Val: []byte("old"), VSI: 1}}, ModeSingle)
-	s.ResetStats()
+	count := countsOf(t, s)
 
 	// Crash during shadow phase: old state fully intact.
 	plan := crashAt(s, 1)
@@ -120,12 +122,11 @@ func TestShadowAtomicity(t *testing.T) {
 	if string(x.Val) != "new" || string(y.Val) != "new" || x.VSI != 5 {
 		t.Error("shadow install failed")
 	}
-	st := s.Stats()
-	if st.PointerSwings != 1 {
-		t.Errorf("PointerSwings = %d", st.PointerSwings)
+	if n := count("stable.pointer_swings"); n != 1 {
+		t.Errorf("stable.pointer_swings = %d", n)
 	}
-	if st.Batches[ModeShadow] != 2 {
-		t.Errorf("Batches[shadow] = %d", st.Batches[ModeShadow])
+	if n := count("stable.batches.shadow"); n != 2 {
+		t.Errorf("stable.batches.shadow = %d", n)
 	}
 }
 
@@ -177,7 +178,7 @@ func TestFlushTxnCosts(t *testing.T) {
 	// Section 4: "each object in the atomic flush set needs to be written
 	// twice": once to the flush-transaction log and once in place.
 	s := NewStore()
-	s.ResetStats()
+	count := countsOf(t, s)
 	entries := []Entry{
 		{ID: "A", Val: make([]byte, 100)},
 		{ID: "B", Val: make([]byte, 100)},
@@ -185,15 +186,14 @@ func TestFlushTxnCosts(t *testing.T) {
 	if err := s.WriteBatch(entries, ModeFlushTxn); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.FlushTxnLogWrites != 3 { // 2 values + 1 commit
-		t.Errorf("FlushTxnLogWrites = %d, want 3", st.FlushTxnLogWrites)
+	if n := count("stable.flushtxn_log_writes"); n != 3 { // 2 values + 1 commit
+		t.Errorf("stable.flushtxn_log_writes = %d, want 3", n)
 	}
-	if st.FlushTxnLogBytes != 200 {
-		t.Errorf("FlushTxnLogBytes = %d", st.FlushTxnLogBytes)
+	if n := count("stable.flushtxn_log_bytes"); n != 200 {
+		t.Errorf("stable.flushtxn_log_bytes = %d", n)
 	}
-	if st.ObjectWrites != 2 || st.ObjectWriteBytes != 200 {
-		t.Errorf("ObjectWrites = %d (%d bytes)", st.ObjectWrites, st.ObjectWriteBytes)
+	if n, b := count("stable.object_writes"), count("stable.object_write_bytes"); n != 2 || b != 200 {
+		t.Errorf("stable.object_writes = %d (%d bytes)", n, b)
 	}
 }
 
@@ -350,12 +350,23 @@ func TestSnapshotRestore(t *testing.T) {
 func TestReadCounting(t *testing.T) {
 	s := NewStore()
 	mustWrite(t, s, []Entry{{ID: "X", Val: []byte("v")}}, ModeSingle)
-	s.ResetStats()
+	count := countsOf(t, s)
 	s.Read("X")
 	s.Read("X")
 	s.Read("missing")
-	if got := s.Stats().ObjectReads; got != 2 {
-		t.Errorf("ObjectReads = %d, want 2 (misses don't count)", got)
+	if got := count("stable.object_reads"); got != 2 {
+		t.Errorf("stable.object_reads = %d, want 2 (misses don't count)", got)
+	}
+}
+
+// countsOf attaches a fresh registry to s and returns a reader of s's
+// counters that fails the test on an unregistered name.
+func countsOf(tb testing.TB, s *Store) func(name string) int64 {
+	r := obs.NewRegistry()
+	s.SetObs(r)
+	return func(name string) int64 {
+		tb.Helper()
+		return obstest.Counter(tb, r.Snapshot(), name)
 	}
 }
 

@@ -81,7 +81,7 @@ func (d *slowDevice) Append(p []byte) error {
 // BenchmarkWALGroupCommit measures concurrent committers forcing a log on a
 // device with 20µs append latency.  Each iteration appends one record per
 // committer and forces it; group commit coalesces the device writes, which
-// the Forces/ForcesCoalesced stats expose.
+// the wal.forces/wal.forces_coalesced counters expose.
 func BenchmarkWALGroupCommit(b *testing.B) {
 	for _, committers := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("committers=%d", committers), func(b *testing.B) {
@@ -89,6 +89,7 @@ func BenchmarkWALGroupCommit(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			count := countsOf(b, l)
 			val := make([]byte, 128)
 			b.ResetTimer()
 			var wg sync.WaitGroup
@@ -112,12 +113,11 @@ func BenchmarkWALGroupCommit(b *testing.B) {
 			}
 			wg.Wait()
 			b.StopTimer()
-			st := l.Stats()
-			total := st.Forces + st.ForcesCoalesced
-			if total > 0 {
-				b.ReportMetric(float64(st.ForcesCoalesced)/float64(total), "coalesced-frac")
+			forces, coalesced := count("wal.forces"), count("wal.forces_coalesced")
+			if total := forces + coalesced; total > 0 {
+				b.ReportMetric(float64(coalesced)/float64(total), "coalesced-frac")
 			}
-			b.ReportMetric(float64(st.Forces), "device-forces")
+			b.ReportMetric(float64(forces), "device-forces")
 		})
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"logicallog/internal/fault"
+	"logicallog/internal/obs"
+	"logicallog/internal/obs/obstest"
 	"logicallog/internal/op"
 	"logicallog/internal/wal"
 )
@@ -259,6 +261,8 @@ func TestForceRetriesTransientFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.SetRetryPolicy(3, 10*time.Microsecond, 100*time.Microsecond)
+	r := obs.NewRegistry()
+	l.SetObs(r)
 	mustAppendRec(t, l, wal.NewFlushRecord("A", 1))
 	if err := l.Force(); err != nil {
 		t.Fatalf("force with retry: %v", err)
@@ -266,8 +270,8 @@ func TestForceRetriesTransientFaults(t *testing.T) {
 	if l.StableLSN() != 1 {
 		t.Errorf("StableLSN = %d, want 1", l.StableLSN())
 	}
-	if got := l.Stats().TransientRetries; got != 3 {
-		t.Errorf("TransientRetries = %d, want 3", got)
+	if got := obstest.Counter(t, r.Snapshot(), "wal.transient_retries"); got != 3 {
+		t.Errorf("wal.transient_retries = %d, want 3", got)
 	}
 
 	// Four consecutive EIOs exceed a 3-retry budget.

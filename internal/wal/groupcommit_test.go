@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"logicallog/internal/obs"
+	"logicallog/internal/obs/obstest"
 	"logicallog/internal/op"
 )
 
@@ -42,6 +44,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	count := countsOf(t, l)
 
 	// One record the leader will force, blocking inside the device.
 	leaderLSN, err := l.AppendOp(op.NewPhysicalWrite("x", []byte("v0")))
@@ -80,12 +83,12 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	close(dev.release)
 	wg.Wait()
 
-	st := l.Stats()
-	if st.Forces >= int64(followers+1) {
-		t.Fatalf("Forces = %d: no coalescing across %d committers", st.Forces, followers+1)
+	forces, coalesced := count("wal.forces"), count("wal.forces_coalesced")
+	if forces >= int64(followers+1) {
+		t.Fatalf("wal.forces = %d: no coalescing across %d committers", forces, followers+1)
 	}
-	if st.Forces+st.ForcesCoalesced < 2 {
-		t.Fatalf("Forces=%d ForcesCoalesced=%d: follower accounting lost", st.Forces, st.ForcesCoalesced)
+	if forces+coalesced < 2 {
+		t.Fatalf("wal.forces=%d wal.forces_coalesced=%d: follower accounting lost", forces, coalesced)
 	}
 	if got := l.StableLSN(); got != leaderLSN+followers {
 		t.Fatalf("StableLSN = %d, want %d", got, leaderLSN+followers)
@@ -109,18 +112,21 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 }
 
-// TestStatsSnapshotIsDeepClone pins the Stats race fix: a snapshot taken
-// concurrently with appenders must share no maps with the live stats.
+// TestStatsSnapshotIsDeepClone pins the snapshot race fix: a counter
+// snapshot taken concurrently with appenders must share nothing with the
+// live counters.
 func TestStatsSnapshotIsDeepClone(t *testing.T) {
 	l, err := New(NewMemDevice())
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := obs.NewRegistry()
+	l.SetObs(r)
 	if _, err := l.AppendOp(op.NewPhysicalWrite("x", []byte("v"))); err != nil {
 		t.Fatal(err)
 	}
-	snap := l.Stats()
-	before := snap.Records[RecOperation]
+	snap := r.Snapshot()
+	before := obstest.Counter(t, snap, "wal.records.op")
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -134,13 +140,13 @@ func TestStatsSnapshotIsDeepClone(t *testing.T) {
 	// Reading the snapshot while the appender runs must be race-free (the
 	// -race build enforces this) and must not observe the appender.
 	for i := 0; i < 100; i++ {
-		if got := snap.Records[RecOperation]; got != before {
+		if got := snap.Counters["wal.records.op"]; got != before {
 			t.Fatalf("snapshot mutated: %d -> %d", before, got)
 		}
-		_ = l.Stats()
+		_ = r.Snapshot()
 	}
 	<-done
-	if got := l.Stats().Records[RecOperation]; got != before+500 {
+	if got := obstest.Counter(t, r.Snapshot(), "wal.records.op"); got != before+500 {
 		t.Fatalf("live stats = %d, want %d", got, before+500)
 	}
 }

@@ -80,8 +80,7 @@ type Log struct {
 	retryBase time.Duration
 	retryCap  time.Duration
 
-	stats Stats
-	obs   logObs
+	obs logObs
 
 	// flight is the optional decision flight recorder (see SetFlight).
 	// Held as an atomic pointer because absorption-index updates read it
@@ -101,9 +100,12 @@ type retentionHook struct {
 	fn   func() op.SI
 }
 
-// logObs holds the log's optional hot-path metrics (see SetObs).  All
-// handles are nil when observability is off; every update below is nil-safe
-// and clock reads are guarded, so the disabled overhead is a pointer test.
+// numRecordTypes bounds the RecordType values: every valid type is below it.
+const numRecordTypes = int(RecAbsorbed) + 1
+
+// logObs holds the log's metric handles (see SetObs).  All handles are nil
+// when no registry is attached; every update below is nil-safe and clock
+// reads are guarded, so the detached overhead is a pointer test.
 type logObs struct {
 	// appendNs is the Append latency (encode + stream buffering), in ns.
 	appendNs *obs.Histogram
@@ -120,31 +122,93 @@ type logObs struct {
 	mergeNs *obs.Histogram
 	// mergeRecords is the records merged per stream merge.
 	mergeRecords *obs.Histogram
-	// absorbHits counts records elided by log absorption.
+	// absorbHits counts records elided by log absorption (replaced by a
+	// RecAbsorbed tombstone in the durable log).
 	absorbHits *obs.Counter
-	// absorbBytesElided counts durable bytes saved by log absorption.
+	// absorbBytesElided is the durable bytes saved by absorption: original
+	// frame size minus tombstone frame size, summed over absorbed records.
 	absorbBytesElided *obs.Counter
+
+	// records and payloadBytes count appended records and their payload
+	// bytes (framing excluded) by record type; opPayloadBytes counts
+	// operation payload bytes by operation kind — the logical-vs-physical
+	// logging cost (Figure 1 / E1).
+	records        [numRecordTypes]*obs.Counter
+	payloadBytes   [numRecordTypes]*obs.Counter
+	opPayloadBytes [op.NumKinds]*obs.Counter
+	// bytesAppended is the total framed bytes appended (pre-absorption:
+	// absorbed records count at their original size).
+	bytesAppended *obs.Counter
+	// valueBytes counts bytes of logged data values (the part logical
+	// operations avoid).
+	valueBytes *obs.Counter
+	// forces counts forces that actually wrote to the device;
+	// forcesCoalesced counts Force/ForceThrough calls satisfied by another
+	// caller's in-flight device write (group commit followers).
+	forces          *obs.Counter
+	forcesCoalesced *obs.Counter
+	// transientRetries counts device appends retried after a transient
+	// (retryable) error.
+	transientRetries *obs.Counter
+	// truncationsClamped counts Truncate calls whose cut point was raised
+	// less far than requested because a registered retention horizon
+	// (backup image, lagging standby) still needed earlier records.
+	truncationsClamped *obs.Counter
+	// merges counts stream merges that moved at least one record.
+	merges *obs.Counter
 }
 
-// SetObs wires the log's hot-path metrics into r; nil disables them.
+func newLogObs(r *obs.Registry) logObs {
+	o := logObs{
+		appendNs:           r.Histogram("wal.append.ns"),
+		forceDeviceNs:      r.Histogram("wal.force.device_ns"),
+		forceBatchRecords:  r.Histogram("wal.force.batch_records"),
+		forceBatchBytes:    r.Histogram("wal.force.batch_bytes"),
+		retryBackoffNs:     r.Histogram("wal.retry.backoff_ns"),
+		mergeNs:            r.Histogram("wal.merge.ns"),
+		mergeRecords:       r.Histogram("wal.merge.records"),
+		absorbHits:         r.Counter("wal.absorb.hits"),
+		absorbBytesElided:  r.Counter("wal.absorb.bytes_elided"),
+		bytesAppended:      r.Counter("wal.bytes_appended"),
+		valueBytes:         r.Counter("wal.value_bytes"),
+		forces:             r.Counter("wal.forces"),
+		forcesCoalesced:    r.Counter("wal.forces_coalesced"),
+		transientRetries:   r.Counter("wal.transient_retries"),
+		truncationsClamped: r.Counter("wal.truncations_clamped"),
+		merges:             r.Counter("wal.merges"),
+	}
+	for t := RecOperation; int(t) < numRecordTypes; t++ {
+		o.records[t] = r.Counter("wal.records." + t.String())
+		o.payloadBytes[t] = r.Counter("wal.payload_bytes." + t.String())
+	}
+	for k := op.KindInvalid + 1; k.Valid(); k++ {
+		o.opPayloadBytes[k] = r.Counter("wal.op_payload_bytes." + k.String())
+	}
+	return o
+}
+
+// countAppend records one appended record's accounting.
+func (o *logObs) countAppend(rec *Record, frameLen int) {
+	payloadLen := int64(frameLen - frameOverhead)
+	o.records[rec.Type].Inc()
+	o.payloadBytes[rec.Type].Add(payloadLen)
+	o.bytesAppended.Add(int64(frameLen))
+	if rec.Type == RecOperation {
+		o.opPayloadBytes[rec.Op.Kind].Add(payloadLen)
+		var values int64
+		for _, v := range rec.Op.Values {
+			values += int64(len(v))
+		}
+		o.valueBytes.Add(values)
+	}
+}
+
+// SetObs makes the log count into r, under the wal.* names; nil detaches
+// it (nothing is counted).
 func (l *Log) SetObs(r *obs.Registry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if r == nil {
-		l.obs = logObs{}
-	} else {
-		l.obs = logObs{
-			appendNs:          r.Histogram("wal.append.ns"),
-			forceDeviceNs:     r.Histogram("wal.force.device_ns"),
-			forceBatchRecords: r.Histogram("wal.force.batch_records"),
-			forceBatchBytes:   r.Histogram("wal.force.batch_bytes"),
-			retryBackoffNs:    r.Histogram("wal.retry.backoff_ns"),
-			mergeNs:           r.Histogram("wal.merge.ns"),
-			mergeRecords:      r.Histogram("wal.merge.records"),
-			absorbHits:        r.Counter("wal.absorb.hits"),
-			absorbBytesElided: r.Counter("wal.absorb.bytes_elided"),
-		}
-	}
+	l.obs = newLogObs(r)
 	ss := l.lockAllStreams()
 	for _, s := range ss {
 		s.obs = l.obs
@@ -157,43 +221,6 @@ func (l *Log) SetObs(r *obs.Registry) {
 // merges; all emission is nil-safe and observational only.
 func (l *Log) SetFlight(r *flight.Recorder) {
 	l.flight.Store(r)
-}
-
-// Stats aggregates the logging-cost accounting the experiments report.
-type Stats struct {
-	// Records counts appended records by type.
-	Records map[RecordType]int64
-	// PayloadBytes counts payload bytes by record type (framing excluded).
-	PayloadBytes map[RecordType]int64
-	// OpPayloadBytes counts operation payload bytes by operation kind —
-	// this is the logical-vs-physical logging cost (Figure 1 / E1).
-	OpPayloadBytes map[op.Kind]int64
-	// ValueBytes counts bytes of logged data values (the part logical
-	// operations avoid).
-	ValueBytes int64
-	// BytesAppended is the total framed bytes appended (pre-absorption:
-	// absorbed records count at their original size).
-	BytesAppended int64
-	// Forces counts Force calls that actually wrote to the device.
-	Forces int64
-	// ForcesCoalesced counts Force/ForceThrough calls satisfied by another
-	// caller's in-flight device write (group commit followers).
-	ForcesCoalesced int64
-	// TransientRetries counts device appends retried after a transient
-	// (retryable) error.
-	TransientRetries int64
-	// TruncationsClamped counts Truncate calls whose cut point was raised
-	// less far than requested because a registered retention horizon
-	// (backup image, lagging standby) still needed earlier records.
-	TruncationsClamped int64
-	// Merges counts stream merges that moved at least one record.
-	Merges int64
-	// Absorbed counts records elided by log absorption (replaced by a
-	// RecAbsorbed tombstone in the durable log).
-	Absorbed int64
-	// BytesElided is the durable bytes saved by absorption: original frame
-	// size minus tombstone frame size, summed over absorbed records.
-	BytesElided int64
 }
 
 // transient matches errors that mark themselves retryable, such as the
@@ -250,74 +277,14 @@ func TransientBackoff(attempt int, base, max time.Duration) time.Duration {
 	return d
 }
 
-func newStats() Stats {
-	return Stats{
-		Records:        make(map[RecordType]int64),
-		PayloadBytes:   make(map[RecordType]int64),
-		OpPayloadBytes: make(map[op.Kind]int64),
-	}
-}
-
-// clone returns a deep copy: the scalar fields by value and every map
-// rebuilt, so a snapshot handed to a concurrent reader shares nothing with
-// the maps appenders keep mutating under the log mutex.
-func (s Stats) clone() Stats {
-	c := s // scalars
-	c.Records = make(map[RecordType]int64, len(s.Records))
-	for k, v := range s.Records {
-		c.Records[k] = v
-	}
-	c.PayloadBytes = make(map[RecordType]int64, len(s.PayloadBytes))
-	for k, v := range s.PayloadBytes {
-		c.PayloadBytes[k] = v
-	}
-	c.OpPayloadBytes = make(map[op.Kind]int64, len(s.OpPayloadBytes))
-	for k, v := range s.OpPayloadBytes {
-		c.OpPayloadBytes[k] = v
-	}
-	return c
-}
-
-// add folds another snapshot's counts into s (used to aggregate the
-// per-stream append-side stats into one view).
-func (s *Stats) add(o Stats) {
-	for k, v := range o.Records {
-		s.Records[k] += v
-	}
-	for k, v := range o.PayloadBytes {
-		s.PayloadBytes[k] += v
-	}
-	for k, v := range o.OpPayloadBytes {
-		s.OpPayloadBytes[k] += v
-	}
-	s.ValueBytes += o.ValueBytes
-	s.BytesAppended += o.BytesAppended
-	s.Forces += o.Forces
-	s.ForcesCoalesced += o.ForcesCoalesced
-	s.TransientRetries += o.TransientRetries
-	s.TruncationsClamped += o.TruncationsClamped
-	s.Merges += o.Merges
-	s.Absorbed += o.Absorbed
-	s.BytesElided += o.BytesElided
-}
-
-// TotalOpPayloadBytes sums operation payload bytes across kinds.
-func (s Stats) TotalOpPayloadBytes() int64 {
-	var t int64
-	for _, v := range s.OpPayloadBytes {
-		t += v
-	}
-	return t
-}
-
 // New creates a Log over dev.  If dev already holds records (restart after
 // crash), the log resumes LSN assignment after the highest durable record.
 // The log starts with a single stream and absorption off; see SetStreams.
 func New(dev Device) (*Log, error) {
-	l := &Log{dev: dev, firstLSN: 1, stats: newStats()}
+	l := &Log{dev: dev, firstLSN: 1}
 	l.nextLSN.Store(1)
 	l.forceDone = sync.NewCond(&l.mu)
-	l.lanes.Store(&streamSet{streams: []*logStream{{stats: newStats()}}})
+	l.lanes.Store(&streamSet{streams: []*logStream{{}}})
 	for i := range l.absorbIdx {
 		l.absorbIdx[i].reset()
 	}
@@ -371,14 +338,9 @@ func (l *Log) SetStreams(n int, absorb bool) {
 	sort.Slice(carry, func(i, j int) bool { return carry[i].lsn < carry[j].lsn })
 	streams := make([]*logStream, n)
 	for i := range streams {
-		streams[i] = &logStream{stats: newStats(), obs: l.obs}
+		streams[i] = &logStream{obs: l.obs}
 	}
 	streams[0].recs = carry
-	// Fold the retired streams' append accounting into the log-level stats
-	// so Stats snapshots lose nothing across a reconfiguration.
-	for _, s := range old {
-		l.stats.add(s.stats)
-	}
 	l.lanes.Store(&streamSet{streams: streams, absorb: absorb})
 	l.unlockAllStreams(old)
 }
@@ -484,21 +446,8 @@ func (l *Log) AppendShipped(rec *Record) error {
 	}
 	frame := Frame(payload)
 	l.shipped = append(l.shipped, streamRec{lsn: rec.LSN, frame: frame})
-	l.noteShippedLocked(rec, payload, frame)
+	l.obs.countAppend(rec, len(frame))
 	return nil
-}
-
-// noteShippedLocked updates the append statistics for one shipped record.
-func (l *Log) noteShippedLocked(rec *Record, payload, frame []byte) {
-	l.stats.Records[rec.Type]++
-	l.stats.PayloadBytes[rec.Type] += int64(len(payload))
-	l.stats.BytesAppended += int64(len(frame))
-	if rec.Type == RecOperation {
-		l.stats.OpPayloadBytes[rec.Op.Kind] += int64(len(payload))
-		for _, v := range rec.Op.Values {
-			l.stats.ValueBytes += int64(len(v))
-		}
-	}
 }
 
 // Force makes every appended record durable.
@@ -523,7 +472,7 @@ func (l *Log) ForceThrough(lsn op.SI) error {
 // a leader's device write is in flight, the caller records its target in
 // pendingForce and waits as a follower: when the leader finishes, a
 // follower whose lsn the write covered returns without touching the device
-// (counted in ForcesCoalesced).  A caller that finds no force in flight
+// (counted in wal.forces_coalesced).  A caller that finds no force in flight
 // becomes the leader: it merges every stream's records covering its own
 // target and every target accumulated in pendingForce into the staging
 // buffer (absorption tombstones are substituted here; see mergeThrough) and
@@ -535,7 +484,7 @@ func (l *Log) forceLocked(lsn op.SI) error {
 	for {
 		if lsn <= l.stableLSN {
 			if joined {
-				l.stats.ForcesCoalesced++
+				l.obs.forcesCoalesced.Inc()
 			}
 			return nil
 		}
@@ -592,7 +541,7 @@ func (l *Log) forceLocked(lsn op.SI) error {
 	}
 	l.mu.Lock()
 	l.forcing = false
-	l.stats.TransientRetries += retries
+	hooks.transientRetries.Add(retries)
 	if err == nil {
 		if last > l.stableLSN {
 			l.stableLSN = last
@@ -604,7 +553,7 @@ func (l *Log) forceLocked(lsn op.SI) error {
 			l.mergedBuf = nil
 			l.mergedCount = 0
 		}
-		l.stats.Forces++
+		hooks.forces.Inc()
 	}
 	l.forceDone.Broadcast()
 	if err != nil {
@@ -852,7 +801,7 @@ func (l *Log) Truncate(before op.SI) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if clamped {
-		l.stats.TruncationsClamped++
+		l.obs.truncationsClamped.Inc()
 	}
 	// Truncation rewrites the device from a full read; an in-flight force
 	// appending concurrently would be lost by the rewrite.  Wait it out.
@@ -980,30 +929,4 @@ func (l *Log) LastCheckpoint() (*Record, error) {
 			last = rec
 		}
 	}
-}
-
-// Stats returns a snapshot of the logging statistics, aggregated across the
-// log-level counters and every stream's append-side accounting.
-func (l *Log) Stats() Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := l.stats.clone()
-	ss := l.lockAllStreams()
-	for _, s := range ss {
-		out.add(s.stats)
-	}
-	l.unlockAllStreams(ss)
-	return out
-}
-
-// ResetStats zeroes the statistics (benchmarks use this between phases).
-func (l *Log) ResetStats() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.stats = newStats()
-	ss := l.lockAllStreams()
-	for _, s := range ss {
-		s.stats = newStats()
-	}
-	l.unlockAllStreams(ss)
 }

@@ -19,6 +19,7 @@ func TestRetentionClampsTruncate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	count := countsOf(t, l)
 	appendOps(t, l, 10)
 	if err := l.Force(); err != nil {
 		t.Fatal(err)
@@ -33,8 +34,8 @@ func TestRetentionClampsTruncate(t *testing.T) {
 	if got := l.FirstLSN(); got != 4 {
 		t.Errorf("FirstLSN = %d, want clamp at 4", got)
 	}
-	if got := l.Stats().TruncationsClamped; got != 1 {
-		t.Errorf("TruncationsClamped = %d, want 1", got)
+	if got := count("wal.truncations_clamped"); got != 1 {
+		t.Errorf("wal.truncations_clamped = %d, want 1", got)
 	}
 
 	// The hook is consulted live: once the horizon advances, truncation
@@ -209,14 +210,14 @@ func TestAppendShippedCountsStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	count := countsOf(t, dst)
 	if err := dst.AppendShipped(rec); err != nil {
 		t.Fatal(err)
 	}
-	st := dst.Stats()
-	if st.Records[RecOperation] != 1 {
-		t.Errorf("Records[op] = %d, want 1", st.Records[RecOperation])
+	if n := count("wal.records.op"); n != 1 {
+		t.Errorf("wal.records.op = %d, want 1", n)
 	}
-	if st.PayloadBytes[RecOperation] == 0 || st.BytesAppended == 0 {
-		t.Errorf("payload accounting missing: %+v", st)
+	if count("wal.payload_bytes.op") == 0 || count("wal.bytes_appended") == 0 {
+		t.Error("payload accounting missing")
 	}
 }

@@ -31,7 +31,6 @@ type logStream struct {
 	mu    sync.Mutex
 	recs  []streamRec // volatile records, LSN-ascending (claims happen under mu)
 	arena arena
-	stats Stats // append-side accounting, folded into Log.Stats snapshots
 	obs   logObs
 }
 
@@ -82,22 +81,8 @@ func (s *logStream) append(rec *Record, lsn op.SI, obj op.ObjectID) streamRec {
 	frame, ch := s.arena.appendFrame(rec)
 	sr := streamRec{lsn: lsn, frame: frame, chunk: ch, obj: obj}
 	s.recs = append(s.recs, sr)
-	s.note(rec, len(frame))
+	s.obs.countAppend(rec, len(frame))
 	return sr
-}
-
-// note updates the stream's append statistics for one encoded record.
-func (s *logStream) note(rec *Record, frameLen int) {
-	payloadLen := int64(frameLen - frameOverhead)
-	s.stats.Records[rec.Type]++
-	s.stats.PayloadBytes[rec.Type] += payloadLen
-	s.stats.BytesAppended += int64(frameLen)
-	if rec.Type == RecOperation {
-		s.stats.OpPayloadBytes[rec.Op.Kind] += payloadLen
-		for _, v := range rec.Op.Values {
-			s.stats.ValueBytes += int64(len(v))
-		}
-	}
 }
 
 // volatileCount returns the number of buffered records.  Caller holds s.mu.
@@ -409,7 +394,7 @@ func (l *Log) mergeThrough(target op.SI) {
 	l.shipped = l.shipped[nShip:]
 	l.pruneObservers(target)
 	if merged > 0 {
-		l.stats.Merges++
+		l.obs.merges.Inc()
 		if l.obs.mergeNs.Enabled() {
 			l.obs.mergeNs.Since(mergeStart)
 			l.obs.mergeRecords.Observe(int64(merged))
@@ -461,8 +446,6 @@ func (l *Log) mergeRecord(r streamRec, target op.SI) {
 			before := len(l.mergedBuf)
 			l.mergedBuf = AppendFrame(l.mergedBuf, marker)
 			elided := int64(len(r.frame)) - int64(len(l.mergedBuf)-before)
-			l.stats.Absorbed++
-			l.stats.BytesElided += elided
 			l.obs.absorbHits.Inc()
 			l.obs.absorbBytesElided.Add(elided)
 			l.flight.Load().AbsorbCommit(pair.obj, r.lsn, pair.by, elided)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"logicallog/internal/obs"
+	"logicallog/internal/obs/obstest"
 	"logicallog/internal/op"
 )
 
@@ -253,16 +254,12 @@ func TestAbsorptionElidesSupersededWrite(t *testing.T) {
 	if recs[1].Type != RecOperation || !op.Equal(recs[1].Op.Values["X"], []byte("v2")) {
 		t.Error("absorbing write must survive in full")
 	}
-	st := l.Stats()
-	if st.Absorbed != 1 {
-		t.Errorf("Stats.Absorbed = %d", st.Absorbed)
-	}
-	if st.BytesElided <= 0 {
-		t.Errorf("Stats.BytesElided = %d", st.BytesElided)
-	}
 	snap := r.Snapshot()
-	if snap.Counters["wal.absorb.hits"] != 1 {
-		t.Errorf("wal.absorb.hits = %d", snap.Counters["wal.absorb.hits"])
+	if n := obstest.Counter(t, snap, "wal.absorb.hits"); n != 1 {
+		t.Errorf("wal.absorb.hits = %d", n)
+	}
+	if n := obstest.Counter(t, snap, "wal.absorb.bytes_elided"); n <= 0 {
+		t.Errorf("wal.absorb.bytes_elided = %d", n)
 	}
 	if snap.Counters["wal.absorb.bytes_elided"] <= 0 {
 		t.Errorf("wal.absorb.bytes_elided = %d", snap.Counters["wal.absorb.bytes_elided"])
@@ -293,6 +290,7 @@ func TestAbsorbedWriteCrashBeforeForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	countL2 := countsOf(t, l2)
 	l2.SetStreams(2, true)
 	if lsn := mustAppend(t, l2, NewOpRecord(op.NewPhysicalWrite("X", []byte("v3")))); lsn != 1 {
 		t.Errorf("post-crash LSN = %d, want 1", lsn)
@@ -305,8 +303,8 @@ func TestAbsorbedWriteCrashBeforeForce(t *testing.T) {
 	if len(recs) != 1 || recs[0].Type != RecOperation {
 		t.Fatalf("post-crash log = %+v", recs)
 	}
-	if l2.Stats().Absorbed != 0 {
-		t.Errorf("Stats.Absorbed = %d, want 0", l2.Stats().Absorbed)
+	if n := countL2("wal.absorb.hits"); n != 0 {
+		t.Errorf("wal.absorb.hits = %d, want 0", n)
 	}
 }
 
@@ -318,6 +316,7 @@ func TestIdentityWritesNeverAbsorbed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	count := countsOf(t, l)
 	l.SetStreams(1, true)
 	mustAppend(t, l, NewOpRecord(op.NewIdentityWrite("X", []byte("v1"))))
 	mustAppend(t, l, NewOpRecord(op.NewIdentityWrite("X", []byte("v2"))))
@@ -335,8 +334,8 @@ func TestIdentityWritesNeverAbsorbed(t *testing.T) {
 			t.Errorf("record %d is %s, want full op", i, rec.Type)
 		}
 	}
-	if l.Stats().Absorbed != 0 {
-		t.Errorf("Stats.Absorbed = %d, want 0", l.Stats().Absorbed)
+	if n := count("wal.absorb.hits"); n != 0 {
+		t.Errorf("wal.absorb.hits = %d, want 0", n)
 	}
 }
 
@@ -347,6 +346,7 @@ func TestReadPinPreventsAbsorption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	count := countsOf(t, l)
 	l.SetStreams(1, true)
 	mustAppend(t, l, NewOpRecord(op.NewPhysicalWrite("X", []byte("v1"))))
 	mustAppend(t, l, NewOpRecord(op.NewLogical(op.FuncCopy, []byte("Y"),
@@ -363,8 +363,8 @@ func TestReadPinPreventsAbsorption(t *testing.T) {
 	if recs[0].Type != RecOperation || !op.Equal(recs[0].Op.Values["X"], []byte("v1")) {
 		t.Errorf("pinned write did not survive in full: %+v", recs[0])
 	}
-	if l.Stats().Absorbed != 0 {
-		t.Errorf("Stats.Absorbed = %d, want 0", l.Stats().Absorbed)
+	if n := count("wal.absorb.hits"); n != 0 {
+		t.Errorf("wal.absorb.hits = %d, want 0", n)
 	}
 }
 
@@ -405,6 +405,7 @@ func TestAbsorptionInvertedIndexOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	count := countsOf(t, l)
 	l.SetStreams(2, true)
 	recOld := NewOpRecord(op.NewPhysicalWrite("X", []byte("old")))
 	srOld := rawAppend(t, l, 0, recOld) // LSN 1
@@ -427,8 +428,8 @@ func TestAbsorptionInvertedIndexOrder(t *testing.T) {
 	if recs[0].Type != RecAbsorbed || recs[0].Absorbed.Object != "X" {
 		t.Errorf("superseded lower-LSN write = %+v, want absorbed tombstone", recs[0])
 	}
-	if st := l.Stats(); st.Absorbed != 1 {
-		t.Errorf("Stats.Absorbed = %d, want 1", st.Absorbed)
+	if n := count("wal.absorb.hits"); n != 1 {
+		t.Errorf("wal.absorb.hits = %d, want 1", n)
 	}
 }
 
@@ -442,6 +443,7 @@ func TestReadPinSurvivesIndexOrderInversion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	count := countsOf(t, l)
 	l.SetStreams(2, true)
 	recW := NewOpRecord(op.NewPhysicalWrite("X", []byte("v1")))
 	srW := rawAppend(t, l, 0, recW) // LSN 1
@@ -462,8 +464,8 @@ func TestReadPinSurvivesIndexOrderInversion(t *testing.T) {
 	if recs[0].Type != RecOperation || !op.Equal(recs[0].Op.Values["X"], []byte("v1")) {
 		t.Fatalf("read-pinned write did not survive in full: %+v", recs[0])
 	}
-	if st := l.Stats(); st.Absorbed != 0 {
-		t.Errorf("Stats.Absorbed = %d, want 0", st.Absorbed)
+	if n := count("wal.absorb.hits"); n != 0 {
+		t.Errorf("wal.absorb.hits = %d, want 0", n)
 	}
 }
 
@@ -476,6 +478,7 @@ func TestLateObserverCancelsRecordedAbsorption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	count := countsOf(t, l)
 	l.SetStreams(2, true)
 	mustAppend(t, l, NewOpRecord(op.NewPhysicalWrite("X", []byte("v1")))) // LSN 1, candidate
 	recR := NewOpRecord(op.NewLogical(op.FuncCopy, []byte("Y"),
@@ -494,8 +497,8 @@ func TestLateObserverCancelsRecordedAbsorption(t *testing.T) {
 	if recs[0].Type != RecOperation || !op.Equal(recs[0].Op.Values["X"], []byte("v1")) {
 		t.Fatalf("observed write was elided despite the late read pin: %+v", recs[0])
 	}
-	if st := l.Stats(); st.Absorbed != 0 {
-		t.Errorf("Stats.Absorbed = %d, want 0", st.Absorbed)
+	if n := count("wal.absorb.hits"); n != 0 {
+		t.Errorf("wal.absorb.hits = %d, want 0", n)
 	}
 }
 
@@ -616,6 +619,7 @@ func TestShippedRecordsNeverAbsorbed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	countDst := countsOf(t, dst)
 	dst.SetStreams(4, true)
 	for _, rec := range recs {
 		if err := dst.AppendShipped(rec); err != nil {
@@ -635,8 +639,8 @@ func TestShippedRecordsNeverAbsorbed(t *testing.T) {
 			t.Errorf("shipped record %d replaced by %s", i, rec.Type)
 		}
 	}
-	if dst.Stats().Absorbed != 0 {
-		t.Errorf("standby Stats.Absorbed = %d, want 0", dst.Stats().Absorbed)
+	if n := countDst("wal.absorb.hits"); n != 0 {
+		t.Errorf("standby wal.absorb.hits = %d, want 0", n)
 	}
 }
 

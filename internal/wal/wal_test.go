@@ -9,6 +9,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"logicallog/internal/obs"
+	"logicallog/internal/obs/obstest"
 	"logicallog/internal/op"
 )
 
@@ -309,33 +311,46 @@ func TestLastCheckpoint(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	l, _ := New(NewMemDevice())
+	r := obs.NewRegistry()
+	l.SetObs(r)
 	big := make([]byte, 4096)
 	mustAppend(t, l, NewOpRecord(op.NewPhysicalWrite("X", big)))
 	mustAppend(t, l, NewOpRecord(op.NewLogical(op.FuncCopy, []byte("X"), []op.ObjectID{"Y"}, []op.ObjectID{"X"})))
-	st := l.Stats()
-	if st.Records[RecOperation] != 2 {
-		t.Errorf("Records = %v", st.Records)
+	s := r.Snapshot()
+	if n := obstest.Counter(t, s, "wal.records.op"); n != 2 {
+		t.Errorf("wal.records.op = %d", n)
 	}
-	if st.ValueBytes != 4096 {
-		t.Errorf("ValueBytes = %d", st.ValueBytes)
+	if n := obstest.Counter(t, s, "wal.value_bytes"); n != 4096 {
+		t.Errorf("wal.value_bytes = %d", n)
 	}
-	phys := st.OpPayloadBytes[op.KindPhysicalWrite]
-	logi := st.OpPayloadBytes[op.KindLogical]
+	phys := obstest.Counter(t, s, "wal.op_payload_bytes.W_P")
+	logi := obstest.Counter(t, s, "wal.op_payload_bytes.L")
 	if phys < 4096 {
 		t.Errorf("physical payload = %d, must include the value", phys)
 	}
 	if logi >= 128 {
 		t.Errorf("logical payload = %d, must be id-sized", logi)
 	}
-	if st.TotalOpPayloadBytes() != phys+logi {
-		t.Error("TotalOpPayloadBytes mismatch")
+	if total := s.Sum("wal.op_payload_bytes."); total != phys+logi {
+		t.Errorf("op payload total = %d, want %d", total, phys+logi)
 	}
-	if st.BytesAppended <= st.TotalOpPayloadBytes() {
-		t.Error("BytesAppended must include framing")
+	if obstest.Counter(t, s, "wal.bytes_appended") <= phys+logi {
+		t.Error("wal.bytes_appended must include framing")
 	}
-	l.ResetStats()
-	if l.Stats().BytesAppended != 0 {
-		t.Error("ResetStats failed")
+	r.Reset()
+	if n := obstest.Counter(t, r.Snapshot(), "wal.bytes_appended"); n != 0 {
+		t.Errorf("wal.bytes_appended = %d after Reset", n)
+	}
+}
+
+// countsOf attaches a fresh registry to l and returns a reader of l's
+// counters that fails the test on an unregistered name.
+func countsOf(tb testing.TB, l *Log) func(name string) int64 {
+	r := obs.NewRegistry()
+	l.SetObs(r)
+	return func(name string) int64 {
+		tb.Helper()
+		return obstest.Counter(tb, r.Snapshot(), name)
 	}
 }
 

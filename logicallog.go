@@ -309,14 +309,14 @@ type Stats struct {
 
 // Stats returns a snapshot of the counters.
 func (db *DB) Stats() Stats {
-	s := db.eng.Stats()
+	c := db.eng.Metrics().Counters
 	return Stats{
-		LogBytesAppended:    s.Log.BytesAppended,
-		LogValueBytes:       s.Log.ValueBytes,
-		ObjectWrites:        s.Store.ObjectWrites,
-		IdentityWrites:      s.Cache.IdentityWrites,
-		Installs:            s.Cache.Installs,
-		InstalledNotFlushed: s.Cache.InstalledNotFlushed,
+		LogBytesAppended:    c["wal.bytes_appended"],
+		LogValueBytes:       c["wal.value_bytes"],
+		ObjectWrites:        c["stable.object_writes"],
+		IdentityWrites:      c["cache.identity_writes"],
+		Installs:            c["cache.installs"],
+		InstalledNotFlushed: c["cache.installed_not_flushed"],
 	}
 }
 
